@@ -102,11 +102,6 @@ class AllOf:
         self.futures = list(futures)
 
 
-def sleep(duration_us: int):
-    """Coroutine helper: suspend the calling task."""
-    yield Sleep(duration_us)
-
-
 class SimLoop:
     """Single-threaded deterministic event loop owning the virtual clock."""
 

@@ -81,7 +81,6 @@ class SimConfig:
     # Compute model.
     vcpu_hz: int = 1_000_000_000
     decode_cycles_per_byte: Fraction = Fraction(0)
-    cold_start_penalty_factor: Fraction = Fraction("1.2")
 
     def with_region(self, region: str) -> "SimConfig":
         try:

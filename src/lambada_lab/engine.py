@@ -252,7 +252,7 @@ def execute(
     inv_plan = invoke.build_plan(W, strategy)
 
     def main():
-        start = sim.loop.now
+        start, before = sim.loop.now, sim.ledger.snapshot()
         driver = sim.driver()
         inv_report = yield from invoke.run_plan(
             sim,
@@ -276,15 +276,16 @@ def execute(
             partials.append(message["partial"])
         rows = merge_partials(partials)
         end = sim.loop.now
+        bill = sim.ledger.delta_since(before)
         report = QueryReport(
             workers=W,
             latency_us=end - start,
             invoke_makespan_us=inv_report.makespan_us,
             collect_us=end - collect_start,
             rows=len(rows),
-            request_usd=sim.ledger.request_usd,
-            worker_usd=sim.ledger.worker_usd,
-            total_usd=sim.ledger.total_usd,
+            request_usd=bill.request_usd,
+            worker_usd=bill.worker_usd,
+            total_usd=bill.total_usd,
         )
         return rows, report
 

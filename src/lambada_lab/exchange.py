@@ -11,8 +11,10 @@ a companion object or encoded into the key name.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .billing import LIST, READ, WRITE, format_usd
 from .clock import AllOf, Sleep, US_PER_MS
@@ -79,6 +81,8 @@ class ExchangeConfig:
             raise ValueError(f"write_combining must be one of {_WC_MODES}")
         if self.num_buckets < 1:
             raise ValueError("need at least one bucket")
+        if self.poll and self.write_combining == WC_OFFSETS_IN_NAME:
+            raise ValueError("offsets_in_name discovers keys by listing; poll does not apply")
 
     def side(self, P: int) -> int:
         s = self.group_side if self.group_side is not None else ceil_root(P, self.levels)
@@ -171,7 +175,7 @@ def _wait_for_prefix_count(sim, bucket: str, prefix: str, n: int):
 
 
 class _ExchangeRun:
-    """Shared machinery for record-carrying and synthetic exchanges."""
+    """The exchange's round loop, shared by record-carrying and synthetic runs."""
 
     def __init__(self, sim, P: int, cfg: ExchangeConfig):
         self.sim = sim
@@ -182,36 +186,64 @@ class _ExchangeRun:
         for name in self.naming.all_buckets():
             sim.store.create_bucket(name)
         self.senders = [sender_map(P, level, self.s) for level in range(cfg.levels)]
+        self.owners = Counter(self.naming.bucket(q) for q in range(P))  # senders per bucket
         self.trace: list[PhaseTrace] = []
 
-    def send_level(self, ctx, p: int, level: int, blobs: list):
-        """Write this worker's s partition payloads for one round."""
-        cfg, naming = self.cfg, self.naming
+    def rounds(self, payloads: dict, split, merge, ctx_factory=None):
+        """Run every worker's rounds; returns (final payloads, trace, makespan_us).
+
+        Worker p starts with ``payloads[p]``.  Each round, ``split(p, level,
+        payload)`` gives one object holding the s digit classes' slices back
+        to back plus their s+1 offsets, and ``merge(blobs)`` turns the slices
+        received into the next round's payload.
+        """
+        sim, finals = self.sim, {}
+
+        def worker(p: int):
+            ctx = ctx_factory(p) if ctx_factory else HostContext(
+                sim, f"xw{p}", invoke_rate_per_s=sim.cfg.worker_invoke_rate_per_s
+            )
+            payload = payloads[p]
+            for level in range(self.cfg.levels):
+                t0 = sim.loop.now
+                data, offsets = split(p, level, payload)
+                t1 = sim.loop.now
+                yield from self.send_level(ctx, p, level, data, offsets)
+                t2 = sim.loop.now
+                inbound, wait_us = yield from self.receive_level(ctx, p, level)
+                t3 = sim.loop.now
+                payload = merge(inbound)
+                self.trace.append(
+                    PhaseTrace(p, level, t1 - t0, t2 - t1, wait_us, t3 - t2 - wait_us)
+                )
+            finals[p] = payload
+
+        start = sim.loop.now
+        yield AllOf([sim.loop.spawn(worker(p), name=f"xw{p}") for p in range(self.P)])
+        return finals, self.trace, sim.loop.now - start
+
+    def send_level(self, ctx, p: int, level: int, data, offsets: list[int]):
+        """Write this worker's s partition slices for one round.
+
+        Slice c is ``data[offsets[c]:offsets[c + 1]]``.
+        """
+        cfg, naming, store = self.cfg, self.naming, self.sim.store
         if cfg.write_combining == WC_OFF:
-            for c, blob in enumerate(blobs):
+            for c in range(self.s):
                 target = route(p, level, c, self.s, self.P)
                 if target is None:
                     continue  # unreachable digit class, provably empty
-                yield from self.sim.store.put_object(
-                    ctx, naming.bucket(target), naming.plain_key(level, p, target), blob
-                )
+                key = naming.plain_key(level, p, target)
+                blob = data[offsets[c] : offsets[c + 1]]
+                yield from store.put_object(ctx, naming.bucket(target), key, blob)
             return
-        offsets = [0]
-        for blob in blobs:
-            offsets.append(offsets[-1] + len(blob))
-        if isinstance(blobs[0], ZeroBlob):
-            data = ZeroBlob(offsets[-1])
-        else:
-            data = b"".join(blobs)
         bucket = naming.bucket(p)
         if cfg.write_combining == WC_OFFSETS_IN_NAME:
             key = naming.in_name_key(level, p, offsets)
-            yield from self.sim.store.put_object(ctx, bucket, key, data)
+            yield from store.put_object(ctx, bucket, key, data)
         else:
-            yield from self.sim.store.put_object(
-                ctx, bucket, naming.combined_key(level, p), data
-            )
-            yield from self.sim.store.put_object(
+            yield from store.put_object(ctx, bucket, naming.combined_key(level, p), data)
+            yield from store.put_object(
                 ctx,
                 bucket,
                 naming.offsets_key(level, p),
@@ -244,9 +276,13 @@ class _ExchangeRun:
             return blobs, wait_us
         if cfg.write_combining == WC_OFFSETS_FILE:
             for q, c in my_senders:
-                bucket = naming.bucket(q)
+                bucket, key = naming.bucket(q), naming.offsets_key(level, q)
+                t0 = sim.loop.now
+                if not cfg.poll:
+                    yield from sim.store.wait_for_object(bucket, key)
+                wait_us += sim.loop.now - t0
                 raw, _ = yield from sim.store.get_object_when_ready(
-                    ctx, bucket, naming.offsets_key(level, q), poll=cfg.poll
+                    ctx, bucket, key, poll=cfg.poll
                 )
                 offsets = struct.unpack(f"<{len(raw) // 8}Q", bytes(raw))
                 blob, _ = yield from sim.store.get_object(
@@ -254,45 +290,27 @@ class _ExchangeRun:
                 )
                 blobs.append(blob)
             return blobs, wait_us
-        # offsets in name: discover keys by listing, then ranged reads
-        by_bucket: dict[str, list[tuple[int, int]]] = {}
-        for q, c in my_senders:
-            by_bucket.setdefault(naming.bucket(q), []).append((q, c))
-        offsets_of: dict[int, list[int]] = {}
-        key_of: dict[int, str] = {}
+        # offsets in name: wait until every sender sharing a bucket with one
+        # of ours has written, list the bucket, then issue ranged reads
+        prefix = f"l{level}/s"
         t0 = sim.loop.now
-        listed: dict[str, list[str]] = {}
-        for bucket, pairs in sorted(by_bucket.items()):
-            wanted = len({q for q, _ in pairs})
-            in_bucket = sum(
-                1 for q in range(self.P) if naming.bucket(q) == bucket
-            )
-            yield from _wait_for_prefix_count(sim, bucket, f"l{level}/s", in_bucket)
-            keys, _ = yield from sim.store.list_objects(ctx, bucket, f"l{level}/s")
-            listed[bucket] = keys
-            assert len(keys) >= wanted
+        listed: list[str] = []
+        for bucket in sorted({naming.bucket(q) for q, _ in my_senders}):
+            yield from _wait_for_prefix_count(sim, bucket, prefix, self.owners[bucket])
+            keys, _ = yield from sim.store.list_objects(ctx, bucket, prefix)
+            listed.extend(keys)
         wait_us = sim.loop.now - t0
-        for bucket, keys in listed.items():
-            for key in keys:
-                q, offsets = NamingScheme.parse_in_name(key)
-                offsets_of[q] = offsets
-                key_of[q] = key
+        found = {}
+        for key in listed:
+            q, offsets = NamingScheme.parse_in_name(key)
+            found[q] = key, offsets
         for q, c in my_senders:
-            offsets = offsets_of[q]
+            key, offsets = found[q]
             blob, _ = yield from sim.store.get_object(
-                ctx, naming.bucket(q), key_of[q], (offsets[c], offsets[c + 1])
+                ctx, naming.bucket(q), key, (offsets[c], offsets[c + 1])
             )
             blobs.append(blob)
         return blobs, wait_us
-
-
-def _default_ctx_factory(sim):
-    def make(p: int) -> HostContext:
-        return HostContext(
-            sim, f"xw{p}", invoke_rate_per_s=sim.cfg.worker_invoke_rate_per_s
-        )
-
-    return make
 
 
 def run_exchange(
@@ -305,41 +323,31 @@ def run_exchange(
     """Repartition records so worker w ends with {r : partition(key) == w}.
 
     `inputs` maps worker id -> list of (key, value) records.  Returns
-    (outputs, trace); run it with ``sim.loop.run_task``.
+    (outputs, trace); run it with ``sim.loop.run_task``.  Raises ValueError
+    if `partitioner` sends a key outside workers 0..P-1.
     """
     P = len(inputs)
     partitioner = partitioner or (lambda key: key % P)
-    ctx_factory = ctx_factory or _default_ctx_factory(sim)
+    stray = [k for recs in inputs.values() for k, _ in recs if not 0 <= partitioner(k) < P]
+    if stray:
+        raise ValueError(f"partitioner sends key {stray[0]} outside workers 0..{P - 1}")
     run = _ExchangeRun(sim, P, cfg)
-    outputs: dict[int, list[tuple[int, bytes]]] = {}
+    s = run.s
 
-    def worker(p: int):
-        ctx = ctx_factory(p)
-        records = list(inputs[p])
-        for level in range(cfg.levels):
-            base = run.s**level
-            t0 = sim.loop.now
-            parts: list[list[tuple[int, bytes]]] = [[] for _ in range(run.s)]
-            for rec in records:
-                parts[partitioner(rec[0]) // base % run.s].append(rec)
-            blobs = [encode_records(part) for part in parts]
-            t1 = sim.loop.now
-            yield from run.send_level(ctx, p, level, blobs)
-            t2 = sim.loop.now
-            inbound, wait_us = yield from run.receive_level(ctx, p, level)
-            t3 = sim.loop.now
-            records = []
-            for blob in inbound:
-                records.extend(decode_records(bytes(blob)))
-            run.trace.append(
-                PhaseTrace(p, level, t1 - t0, t2 - t1, wait_us, t3 - t2 - wait_us)
-            )
-        outputs[p] = records
+    def split(p, level, records):
+        base = s**level
+        parts: list[list[tuple[int, bytes]]] = [[] for _ in range(s)]
+        for rec in records:
+            parts[partitioner(rec[0]) // base % s].append(rec)
+        blobs = [encode_records(part) for part in parts]
+        return b"".join(blobs), list(accumulate(map(len, blobs), initial=0))
+
+    def merge(blobs):
+        return [rec for blob in blobs for rec in decode_records(bytes(blob))]
 
     def main():
-        tasks = [sim.loop.spawn(worker(p), name=f"xw{p}") for p in range(P)]
-        yield AllOf(tasks)
-        return outputs, run.trace
+        outputs, trace, _ = yield from run.rounds(inputs, split, merge, ctx_factory)
+        return outputs, trace
 
     return main()
 
@@ -353,39 +361,25 @@ def run_synthetic_exchange(
 ):
     """Exchange of sized-but-empty payloads for large-scale timing studies.
 
-    Each worker starts with total_bytes/P and splits evenly each round; the
-    request pattern and transfer volumes match the record-carrying operator.
-    Returns (per_worker_bytes, trace, makespan_us).
+    Each worker starts with total_bytes/P and each round splits it evenly
+    over the digit classes that have a destination, so every byte arrives
+    for any P.  It runs the record-carrying operator's round loop, with the
+    same request pattern.  Returns (per_worker_bytes, trace, makespan_us).
     """
-    ctx_factory = ctx_factory or _default_ctx_factory(sim)
     run = _ExchangeRun(sim, P, cfg)
-    final_bytes: dict[int, int] = {}
+    s = run.s
 
-    def worker(p: int):
-        ctx = ctx_factory(p)
-        size = total_bytes // P + (1 if p < total_bytes % P else 0)
-        for level in range(cfg.levels):
-            t0 = sim.loop.now
-            share, extra = divmod(size, run.s)
-            blobs = [ZeroBlob(share + (1 if c < extra else 0)) for c in range(run.s)]
-            t1 = sim.loop.now
-            yield from run.send_level(ctx, p, level, blobs)
-            t2 = sim.loop.now
-            inbound, wait_us = yield from run.receive_level(ctx, p, level)
-            t3 = sim.loop.now
-            size = sum(len(b) for b in inbound)
-            run.trace.append(
-                PhaseTrace(p, level, t1 - t0, t2 - t1, wait_us, t3 - t2 - wait_us)
-            )
-        final_bytes[p] = size
+    def split(p, level, size):
+        # only digit classes with a destination get bytes (all on a full grid)
+        live = [c for c in range(s) if route(p, level, c, s, P) is not None]
+        share, extra = divmod(size, len(live))
+        lens = [0] * s
+        for i, c in enumerate(live):
+            lens[c] = share + (1 if i < extra else 0)
+        return ZeroBlob(size), list(accumulate(lens, initial=0))
 
-    def main():
-        start = sim.loop.now
-        tasks = [sim.loop.spawn(worker(p), name=f"xw{p}") for p in range(P)]
-        yield AllOf(tasks)
-        return final_bytes, run.trace, sim.loop.now - start
-
-    return main()
+    sizes = {p: total_bytes // P + (1 if p < total_bytes % P else 0) for p in range(P)}
+    return run.rounds(sizes, split, lambda blobs: sum(map(len, blobs)), ctx_factory)
 
 
 @dataclass(frozen=True)

@@ -196,6 +196,15 @@ class TestReport:
         assert report.worker_usd > 0
         assert report.latency_us >= report.invoke_makespan_us
 
+    def test_dollars_are_per_query_on_a_reused_sim(self):
+        sim, keys, _ = setup_data(rows=500, files=2)
+        plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
+        _, first = run_query(sim, plan, keys)
+        _, second = run_query(sim, plan, keys)
+        assert second.request_usd == first.request_usd
+        assert second.worker_usd == first.worker_usd
+        assert second.total_usd == first.total_usd == sim.ledger.total_usd / 2
+
     def test_csv_row_shape(self):
         sim, keys, _ = setup_data(rows=400, files=2)
         plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from lambada_lab import errors, exchange
 from lambada_lab.billing import LIST, READ, WRITE
 from lambada_lab.config import SimConfig
-from lambada_lab.substrate import CloudSim
+from lambada_lab.clock import US_PER_MS
+from lambada_lab.substrate import CloudSim, HostContext
 
 
 def fresh_sim(**overrides):
@@ -146,6 +147,29 @@ class TestMultiLevel:
         received = sorted(r for recs in outputs.values() for r in recs)
         assert sent == received
 
+    @pytest.mark.parametrize("mode", exchange._WC_MODES)
+    @pytest.mark.parametrize("P,levels", [(9, 2), (5, 2), (7, 2), (13, 2), (60, 3)])
+    def test_synthetic_data_conservation(self, P, levels, mode):
+        total = 10**6 + 7
+        sim = fresh_sim()
+        cfg = exchange.ExchangeConfig(levels=levels, write_combining=mode)
+        sizes, trace, _ = sim.loop.run_task(
+            exchange.run_synthetic_exchange(sim, P, total, cfg)
+        )
+        assert sorted(sizes) == list(range(P))
+        assert sum(sizes.values()) == total
+        assert len(trace) == P * levels
+
+    def test_partitioner_outside_workers_rejected(self):
+        sim = fresh_sim()
+        with pytest.raises(ValueError, match="outside workers"):
+            exchange.run_exchange(
+                sim,
+                make_inputs(5, 12),
+                exchange.ExchangeConfig(levels=2),
+                partitioner=lambda key: key,
+            )
+
 
 class TestWriteCombining:
     @pytest.mark.parametrize("mode", [exchange.WC_OFFSETS_FILE, exchange.WC_OFFSETS_IN_NAME])
@@ -199,6 +223,24 @@ class TestWriteCombining:
         cfg = exchange.ExchangeConfig(levels=1, write_combining=exchange.WC_OFFSETS_IN_NAME)
         with pytest.raises(errors.KeyTooLong):
             sim.loop.run_task(exchange.run_exchange(sim, inputs, cfg))
+
+    @pytest.mark.parametrize("mode", exchange._WC_MODES)
+    def test_slow_sender_shows_as_receiver_wait(self, mode):
+        P, slow = 4, 0
+
+        def ctx_factory(p):
+            ctx = HostContext(sim, f"xw{p}")
+            if p == slow:
+                ctx.first_byte_latency_us += 500 * US_PER_MS
+            return ctx
+
+        sim = fresh_sim()
+        cfg = exchange.ExchangeConfig(levels=1, write_combining=mode)
+        _, trace = sim.loop.run_task(
+            exchange.run_exchange(sim, make_inputs(P, 8), cfg, ctx_factory=ctx_factory)
+        )
+        receivers = [t for t in trace if t.worker != slow]
+        assert receivers and all(t.wait_us > 0 for t in receivers)
 
     def test_in_name_key_round_trip(self):
         naming = exchange.NamingScheme("xchg", 1)
@@ -288,6 +330,12 @@ class TestBucketSharding:
 
 
 class TestPollMode:
+    def test_poll_rejected_with_offsets_in_name(self):
+        with pytest.raises(ValueError, match="poll"):
+            exchange.ExchangeConfig(
+                levels=2, write_combining=exchange.WC_OFFSETS_IN_NAME, poll=True
+            )
+
     def test_poll_mode_bills_probe_requests(self):
         P = 4
         subscribe = fresh_sim()
