@@ -75,6 +75,35 @@ class ZeroBlob:
         return f"ZeroBlob({self.size})"
 
 
+class NicShaping:
+    """Traffic-shaping constants of one configuration, shared by all its NICs.
+
+    Rates are exact bytes per microsecond.  A transfer drains at
+    ``burst_rate`` while the host has burst credit and at ``steady`` once it
+    is spent; the credit refills at ``steady``.  When the credit never
+    drains (no credit, or a burst-time rate at most the refill rate, as in
+    the default configuration), every transfer runs at one rate, kept in
+    ``constant`` as (numerator, denominator).
+    """
+
+    __slots__ = ("steady", "burst_rate", "drain", "credit_cap", "constant")
+
+    def __init__(self, cfg: SimConfig):
+        to_bytes_per_us = Fraction(MIB, US_PER_S)
+        self.steady = cfg.steady_mib_per_s * to_bytes_per_us
+        per_conn = cfg.per_connection_mib_per_s * to_bytes_per_us
+        self.burst_rate = min(per_conn, cfg.burst_cap_mib_per_s * to_bytes_per_us)
+        self.drain = self.burst_rate - self.steady  # credit spent per us of burst
+        self.credit_cap = Fraction(cfg.burst_credit_mib * MIB)
+        if min(self.steady, self.burst_rate) <= 0 or self.credit_cap < 0:
+            raise errors.ConfigError("NIC rates must be positive and burst credit non-negative")
+        if self.credit_cap == 0 or self.drain <= 0:
+            rate = self.burst_rate if self.credit_cap else min(per_conn, self.steady)
+            self.constant = (rate.numerator, rate.denominator)
+        else:
+            self.constant = None
+
+
 class Nic:
     """Traffic shaper for one direction of one host.
 
@@ -85,42 +114,28 @@ class Nic:
     latency model assumes for sustained scans.
     """
 
-    def __init__(self, cfg: SimConfig):
-        to_bytes_per_us = Fraction(MIB, US_PER_S)
-        self.steady = cfg.steady_mib_per_s * to_bytes_per_us
-        self.burst = cfg.burst_cap_mib_per_s * to_bytes_per_us
-        self.per_conn = cfg.per_connection_mib_per_s * to_bytes_per_us
-        self.credit_cap = cfg.burst_credit_mib * MIB
-        self.tokens: Fraction = Fraction(self.credit_cap)
+    def __init__(self, shaping: NicShaping):
+        self.shaping = shaping
+        self.tokens: Fraction = shaping.credit_cap
         self.free_at: int = 0
-        self._last_update: int = 0
         self.total_bytes = 0
 
     def reserve(self, nbytes: int, ready_us: int) -> int:
         """Reserve the pipe for `nbytes`; returns the virtual finish time."""
         start = max(ready_us, self.free_at)
-        self.tokens = min(
-            Fraction(self.credit_cap),
-            self.tokens + self.steady * (start - self._last_update),
-        )
-        remaining = Fraction(nbytes)
-        t = Fraction(start)
-        while remaining > 0:
-            cap = self.burst if self.tokens > 0 else self.steady
-            rate = min(self.per_conn, cap)
-            if rate > self.steady and self.tokens > 0:
-                seg = min(self.tokens / (rate - self.steady), remaining / rate)
-            else:
-                seg = remaining / rate
-            sent = rate * seg
-            self.tokens = min(
-                Fraction(self.credit_cap), self.tokens + self.steady * seg - sent
-            )
-            remaining -= sent
-            t += seg
-        finish = math.ceil(t)
+        sh = self.shaping
+        if sh.constant is not None:
+            num, den = sh.constant
+            finish = start - (-nbytes * den // num)
+        else:
+            # the credit refills from the previous finish up to this start;
+            # the transfer bursts while it lasts and sends the rest at steady
+            tokens = min(sh.credit_cap, self.tokens + sh.steady * (start - self.free_at))
+            burst_us = min(tokens / sh.drain, Fraction(nbytes) / sh.burst_rate)
+            self.tokens = tokens - sh.drain * burst_us
+            rest_us = (nbytes - sh.burst_rate * burst_us) / sh.steady
+            finish = start + math.ceil(burst_us + rest_us)
         self.free_at = finish
-        self._last_update = finish
         self.total_bytes += nbytes
         return finish
 
@@ -140,8 +155,8 @@ class HostContext:
         self.name = name
         self.spec = spec
         cfg = sim.cfg
-        self.ingress = Nic(cfg)
-        self.egress = Nic(cfg)
+        self.ingress = Nic(sim.nic_shaping)
+        self.egress = Nic(sim.nic_shaping)
         self.first_byte_latency_us = round(cfg.first_byte_latency_ms * US_PER_MS)
         self.invoke_rate_per_s = (
             invoke_rate_per_s
@@ -511,6 +526,7 @@ class CloudSim:
         self.cfg = cfg or SimConfig()
         self.loop = SimLoop()
         self.prices = PriceSheet.from_config(self.cfg)
+        self.nic_shaping = NicShaping(self.cfg)
         self.ledger = BillingLedger(self.prices)
         self.store = ObjectStore(self)
         self.faas = FaaSService(self)

@@ -288,7 +288,8 @@ class TestCostModel:
         assert exchange.per_bucket_rate(64, 8, 1) == 512
 
     def test_simulated_counts_match_closed_forms(self):
-        for P, variant in [(16, "2l"), (16, "2l-wc"), (27, "3l")]:
+        # the model's domain: one bucket and a full grid
+        for P, variant in [(16, "2l"), (16, "2l-wc"), (27, "3l"), (27, "3l-wc")]:
             sim = fresh_sim()
             cfg = exchange.ExchangeConfig(
                 levels=int(variant[0]),
@@ -301,6 +302,39 @@ class TestCostModel:
             assert sim.ledger.count(READ) == row.reads
             assert sim.ledger.count(WRITE) == row.writes
             assert sim.ledger.count(LIST) == row.lists
+            assert sim.ledger.request_usd == row.request_usd
+
+
+class TestOffsetsInNameKeys:
+    # parsing each listing once per run must not move the makespan or the
+    # (GET, PUT, LIST) counts pinned here
+    @pytest.mark.parametrize(
+        "P,levels,buckets,makespan_us,counts",
+        [(16, 2, 3, 2_979_100, (128, 32, 96)), (27, 3, 2, 2_729_757, (243, 81, 162))],
+    )
+    def test_each_key_parsed_once_per_run(
+        self, monkeypatch, P, levels, buckets, makespan_us, counts
+    ):
+        parse = exchange.NamingScheme.parse_in_name
+        calls = []
+
+        def counting(key):
+            calls.append(key)
+            return parse(key)
+
+        monkeypatch.setattr(exchange.NamingScheme, "parse_in_name", staticmethod(counting))
+        sim = fresh_sim()
+        cfg = exchange.ExchangeConfig(
+            levels=levels, write_combining=exchange.WC_OFFSETS_IN_NAME, num_buckets=buckets
+        )
+        sizes, _, makespan = sim.loop.run_task(
+            exchange.run_synthetic_exchange(sim, P, 10**9, cfg)
+        )
+        assert len(calls) == levels * P
+        assert makespan == makespan_us
+        ledger = sim.ledger
+        assert (ledger.count(READ), ledger.count(WRITE), ledger.count(LIST)) == counts
+        assert sum(sizes.values()) == 10**9
 
 
 class TestBucketSharding:

@@ -11,6 +11,8 @@ from lambada_lab.config import MIB, SimConfig
 from lambada_lab.substrate import (
     CloudSim,
     FunctionSpec,
+    Nic,
+    NicShaping,
     ZeroBlob,
     cpu_throughput,
 )
@@ -275,6 +277,104 @@ class TestBandwidth:
         rate = ctx.ingress.total_bytes / MIB / elapsed_s
         cfg = sim.cfg
         assert rate <= float(cfg.steady_mib_per_s) + float(cfg.burst_credit_mib) / elapsed_s
+
+
+class NaiveNic:
+    """The shaper as a step loop over exact fractions: the oracle for `Nic`."""
+
+    def __init__(self, cfg: SimConfig):
+        to_bytes_per_us = Fraction(MIB, US_PER_S)
+        self.steady = cfg.steady_mib_per_s * to_bytes_per_us
+        self.burst = cfg.burst_cap_mib_per_s * to_bytes_per_us
+        self.per_conn = cfg.per_connection_mib_per_s * to_bytes_per_us
+        self.credit_cap = cfg.burst_credit_mib * MIB
+        self.tokens: Fraction = Fraction(self.credit_cap)
+        self.free_at: int = 0
+        self._last_update: int = 0
+        self.total_bytes = 0
+
+    def reserve(self, nbytes: int, ready_us: int) -> int:
+        """Reserve the pipe for `nbytes`; returns the virtual finish time."""
+        start = max(ready_us, self.free_at)
+        self.tokens = min(
+            Fraction(self.credit_cap),
+            self.tokens + self.steady * (start - self._last_update),
+        )
+        remaining = Fraction(nbytes)
+        t = Fraction(start)
+        while remaining > 0:
+            cap = self.burst if self.tokens > 0 else self.steady
+            rate = min(self.per_conn, cap)
+            if rate > self.steady and self.tokens > 0:
+                seg = min(self.tokens / (rate - self.steady), remaining / rate)
+            else:
+                seg = remaining / rate
+            sent = rate * seg
+            self.tokens = min(
+                Fraction(self.credit_cap), self.tokens + self.steady * seg - sent
+            )
+            remaining -= sent
+            t += seg
+        finish = math.ceil(t)
+        self.free_at = finish
+        self._last_update = finish
+        self.total_bytes += nbytes
+        return finish
+
+
+mib_per_s = st.builds(
+    Fraction, st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=7)
+)
+
+
+class TestNicShaper:
+    def test_default_config_runs_at_one_constant_rate(self):
+        assert NicShaping(SimConfig()).constant is not None
+        assert NicShaping(SimConfig(per_connection_mib_per_s=Fraction(300))).constant is None
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("per_connection_mib_per_s", 0), ("steady_mib_per_s", 0), ("burst_credit_mib", -1)],
+    )
+    def test_nonsense_rates_rejected(self, field, value):
+        with pytest.raises(errors.ConfigError):
+            CloudSim(SimConfig().updated(**{field: Fraction(value)}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steady=mib_per_s,
+        burst=mib_per_s,
+        per_conn=mib_per_s,
+        credit=st.builds(
+            Fraction, st.integers(min_value=0, max_value=900), st.integers(min_value=1, max_value=3)
+        ),
+        transfers=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.just(0),
+                    st.integers(min_value=1, max_value=4096),
+                    st.integers(min_value=0, max_value=2 << 30),
+                ),
+                st.integers(min_value=-(10**7), max_value=10**7),
+            ),
+            max_size=25,
+        ),
+    )
+    def test_reserve_equals_step_loop(self, steady, burst, per_conn, credit, transfers):
+        # per_conn above steady exercises the burst branch
+        cfg = SimConfig(
+            steady_mib_per_s=steady,
+            burst_cap_mib_per_s=burst,
+            per_connection_mib_per_s=per_conn,
+            burst_credit_mib=credit,
+        )
+        oracle, nic = NaiveNic(cfg), Nic(NicShaping(cfg))
+        for nbytes, gap in transfers:
+            ready = max(0, oracle.free_at + gap)  # negative gaps queue behind free_at
+            assert nic.reserve(nbytes, ready) == oracle.reserve(nbytes, ready)
+            assert nic.free_at == oracle.free_at
+            assert nic.tokens == oracle.tokens
+            assert nic.total_bytes == oracle.total_bytes
 
 
 class TestCompute:
