@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from . import errors, invoke
 from .billing import format_usd
@@ -48,6 +50,46 @@ def eval_expr(expr, row: dict):
     if op == "and":
         return all(args)
     raise ValueError(f"unknown operator {op}")
+
+
+_BINARY_OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "ge": operator.ge,
+    "le": operator.le,
+}
+
+
+def _all_of(*values) -> bool:
+    return all(values)
+
+
+def compile_expr(expr, index: dict[str, int]):
+    """Compile an expression once into batch -> value list.
+
+    A batch is a list of column lists; `index` maps a column name to its
+    position.  Row i of the result equals ``eval_expr(expr, row i)``.
+    """
+    if "col" in expr:
+        j = index[expr["col"]]
+        return lambda batch: batch[j]
+    if "const" in expr:
+        value = expr["const"]
+        return lambda batch: [value] * len(batch[0])
+    op = expr["op"]
+    args = [compile_expr(a, index) for a in expr["args"]]
+    if op == "and":
+        return lambda batch: list(map(_all_of, *[f(batch) for f in args]))
+    fn = _BINARY_OPS.get(op)
+    if fn is None:
+        raise ValueError(f"unknown operator {op}")
+
+    def binary(batch):
+        cols = [f(batch) for f in args]
+        return list(map(fn, cols[0], cols[1]))
+
+    return binary
 
 
 def expr_columns(expr) -> set[str]:
@@ -145,20 +187,48 @@ def run_fragment(sim, ctx, bucket, paths, plan, memory_budget_bytes=None):
         raise errors.WorkerOutOfMemory(
             f"fragment holds {held_bytes} bytes, budget {memory_budget_bytes}"
         )
-    names = scan_op["projection"]
-    keys = agg_op["keys"]
-    aggs = agg_op["aggs"]
-    groups: dict[tuple, list[int]] = {}
+    index = {name: j for j, name in enumerate(scan_op["projection"])}
+    key_cols = [index[k] for k in agg_op["keys"]]
+    columns = [
+        None if kind == "count" else compile_expr(expr, index)
+        for kind, expr in agg_op["aggs"]
+    ]
+    groups: dict[tuple, list] = {}
     for batch in batches:
-        for i in range(len(batch[0])):
-            row = {name: batch[j][i] for j, name in enumerate(names)}
-            key = tuple(row[k] for k in keys)
-            state = groups.get(key)
-            if state is None:
-                state = groups[key] = [0] * len(aggs)
-            for a, (kind, expr) in enumerate(aggs):
-                state[a] += 1 if kind == "count" else eval_expr(expr, row)
+        _fold_batch(groups, batch, key_cols, columns)
     return [[list(k), v] for k, v in groups.items()], report
+
+
+def _fold_batch(groups: dict, batch, key_cols: list[int], columns: list) -> None:
+    """Add one batch into per-group states (`None` in `columns` is a count).
+
+    Rows are grouped first; then each state takes its group's values one add
+    at a time, in row order.  A sum() per group would reassociate float
+    additions (and is compensated on Python >= 3.12), so FLOAT64 aggregates
+    would no longer match the row-at-a-time oracle bit for bit.
+    """
+    n = len(batch[0])
+    rows_of: dict[tuple, list[int]] = {}  # key -> its row indices, ascending
+    keys = zip(*[batch[j] for j in key_cols]) if key_cols else repeat((), n)
+    for i, key in enumerate(keys):
+        rows = rows_of.get(key)
+        if rows is None:
+            rows_of[key] = [i]
+        else:
+            rows.append(i)
+    values = [None if f is None else f(batch) for f in columns]
+    for key, rows in rows_of.items():
+        state = groups.get(key)
+        if state is None:
+            state = groups[key] = [0] * len(columns)
+        for a, col in enumerate(values):
+            if col is None:
+                state[a] += len(rows)
+                continue
+            acc = state[a]
+            for v in map(col.__getitem__, rows):
+                acc += v
+            state[a] = acc
 
 
 def merge_partials(partials):

@@ -181,7 +181,13 @@ class _ExchangeRun:
         self.s = cfg.side(P)
         self.naming = NamingScheme(cfg.bucket_prefix, cfg.num_buckets)
         for name in self.naming.all_buckets():
-            sim.store.create_bucket(name)
+            # keys are not scoped by run: a LIST would return an earlier
+            # run's files as this run's
+            if sim.store.create_bucket(name).objects:
+                raise ValueError(
+                    f"exchange bucket {name!r} already holds objects; give this "
+                    f"run a bucket_prefix other than {cfg.bucket_prefix!r}"
+                )
         self.senders = [sender_map(P, level, self.s) for level in range(cfg.levels)]
         self.owners = Counter(self.naming.bucket(q) for q in range(P))  # senders per bucket
         self.written: Counter = Counter()  # (level, bucket) -> offsets-in-name files put

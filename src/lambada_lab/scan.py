@@ -54,9 +54,6 @@ class PredicateSet:
             if lo > hi:
                 raise ValueError(f"empty interval on {name}: [{lo}, {hi}]")
 
-    def matches_row(self, row: dict) -> bool:
-        return all(lo <= row[name] <= hi for name, lo, hi in self.intervals)
-
 
 def prune_row_groups(footer: lcf.FileFooter, predicates: PredicateSet) -> list[int]:
     """Indices of row groups whose stats intersect every predicate interval."""
@@ -72,6 +69,35 @@ def prune_row_groups(footer: lcf.FileFooter, predicates: PredicateSet) -> list[i
         if keep:
             surviving.append(g)
     return surviving
+
+
+def _stats_prove(schema: lcf.Schema, rg: lcf.RowGroupMeta, name: str, lo, hi) -> bool:
+    """True when every value of a row group's column provably lies in [lo, hi].
+
+    Only INT64 stats are trusted: ``min()``/``max()`` skip a NaN that is not
+    a FLOAT64 chunk's first value, so its stats can sit inside an interval
+    that the NaN row fails.
+    """
+    ci = schema.index_of(name)
+    stats = rg.chunks[ci].stats
+    if schema.columns[ci][1] != lcf.INT64:
+        return False
+    return lo <= stats.min_value and stats.max_value <= hi
+
+
+def _filter_batch(decoded: dict, projection, checks) -> list[list]:
+    """Projected columns of the rows inside every (column, lo, hi) check.
+
+    The first check builds a selection vector of row indices and each further
+    check narrows it; with no checks the decoded columns are the batch.
+    """
+    if not checks:
+        return [decoded[c] for c in projection]
+    (values, lo, hi), rest = checks[0], checks[1:]
+    selected = [i for i, v in enumerate(values) if lo <= v <= hi]
+    for values, lo, hi in rest:
+        selected = [i for i in selected if lo <= values[i] <= hi]
+    return [list(map(decoded[c].__getitem__, selected)) for c in projection]
 
 
 @dataclass(frozen=True)
@@ -277,21 +303,15 @@ def execute_scan(
                 decoded[name] = lcf.decode_chunk(
                     chunk, raw, footer.schema.columns[ci][1], rg.row_count
                 )
+            checks = [
+                (decoded[name], lo, hi)
+                for name, lo, hi in predicates.intervals
+                if not _stats_prove(footer.schema, rg, name, lo, hi)
+            ]
             cycles = sim.cfg.decode_cycles_per_byte * total_encoded
             if cycles:
                 yield from ctx.compute(cycles, threads=config.decompress_threads)
-            if predicates.intervals:
-                keep = [
-                    i
-                    for i in range(rg.row_count)
-                    if all(
-                        lo <= decoded[name][i] <= hi
-                        for name, lo, hi in predicates.intervals
-                    )
-                ]
-            else:
-                keep = range(rg.row_count)
-            batch = [[decoded[c][i] for i in keep] for c in predicates.projection]
+            batch = _filter_batch(decoded, predicates.projection, checks)
             report.rows += len(batch[0])
             batches.append(batch)
 

@@ -1,10 +1,10 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lambada_lab import datagen, engine, errors, invoke
+from lambada_lab import datagen, engine, errors, invoke, lcf
 from lambada_lab.config import SimConfig
 from lambada_lab.substrate import CloudSim, FunctionSpec
 
@@ -61,6 +61,17 @@ class TestExpressions:
         row = {"a": 5, "b": 3}
         expr = {"op": "mul", "args": [{"col": "a"}, {"op": "sub", "args": [{"col": "b"}, {"const": 1}]}]}
         assert engine.eval_expr(expr, row) == 10
+
+    def test_compiled_expression_matches_eval(self):
+        batch = [[1, 4, 9], [2.5, -0.0, 3.0]]
+        expr = {"op": "and", "args": [
+            {"op": "ge", "args": [{"col": "x"}, {"const": 2}]},
+            {"op": "le", "args": [{"op": "mul", "args": [{"col": "x"}, {"col": "y"}]},
+                                  {"const": 27.0}]},
+        ]}
+        compiled = engine.compile_expr(expr, {"x": 0, "y": 1})
+        rows = [{"x": x, "y": y} for x, y in zip(*batch)]
+        assert compiled(batch) == [engine.eval_expr(expr, r) for r in rows] == [False, True, True]
 
     def test_columns_of_expression(self):
         expr = {"op": "add", "args": [{"col": "x"}, {"op": "mul", "args": [{"col": "y"}, {"const": 2}]}]}
@@ -158,6 +169,87 @@ class TestQueries:
         assert rows == engine.reference_execute(tables, datagen.COLUMNS, plan)
 
 
+COLUMN_NAMES = ("c0", "c1", "c2", "c3")
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 2.5]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+INTS = st.integers(min_value=-20, max_value=20)
+
+
+@st.composite
+def lcf_tables(draw):
+    """(schema, files): each file a list of row groups of column lists."""
+    types = draw(st.lists(st.sampled_from([lcf.INT64, lcf.FLOAT64]), min_size=2, max_size=4))
+    schema = lcf.Schema(tuple(zip(COLUMN_NAMES, types)))
+    files = []
+    for _ in range(draw(st.integers(1, 3))):
+        groups = []
+        for _ in range(draw(st.integers(1, 3))):
+            rows = draw(st.integers(1, 8))
+            groups.append([
+                draw(st.lists(INTS if t == lcf.INT64 else FLOATS, min_size=rows, max_size=rows))
+                for t in types
+            ])
+        files.append(groups)
+    return schema, files
+
+
+def expressions(names):
+    leaves = st.one_of(
+        st.sampled_from(names).map(lambda n: {"col": n}),
+        st.one_of(INTS, FLOATS).map(lambda v: {"const": v}),
+    )
+
+    def extend(children):
+        binary = st.tuples(
+            st.sampled_from(["add", "sub", "mul", "ge", "le"]), children, children
+        ).map(lambda t: {"op": t[0], "args": [t[1], t[2]]})
+        conj = st.lists(children, min_size=2, max_size=3).map(
+            lambda args: {"op": "and", "args": args}
+        )
+        return st.one_of(binary, conj)
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@st.composite
+def plans(draw, schema):
+    names = [name for name, _ in schema.columns]
+    intervals = []
+    for name in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)):
+        values = INTS if dict(schema.columns)[name] == lcf.INT64 else FLOATS
+        lo, hi = sorted([draw(values), draw(values)])
+        intervals.append((name, lo, hi))
+    keys = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
+    aggs = [("sum", e) for e in draw(st.lists(expressions(names), min_size=1, max_size=3))]
+    if draw(st.booleans()):
+        aggs.append(("count", None))
+    return engine.build_plan_from_pipeline(intervals, keys, aggs)
+
+
+class TestColumnarFragment:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_engine_equals_row_oracle(self, data):
+        schema, files = data.draw(lcf_tables())
+        plan = data.draw(plans(schema))
+        assume(plan[0]["projection"])
+        sim = CloudSim(SimConfig())
+        keys = []
+        for i, groups in enumerate(files):
+            keys.append(f"part-{i}.lcf")
+            sim.store.seed_object("data", keys[-1], lcf.write_file(schema, groups))
+        tables = [
+            [sum((g[c] for g in groups), []) for c in range(len(schema))]
+            for groups in files
+        ]
+        # one worker, so each state adds its floats in the oracle's order
+        rows, _ = run_query(sim, plan, keys, files_per_worker=len(keys))
+        oracle = engine.reference_execute(tables, [n for n, _ in schema.columns], plan)
+        assert json.dumps(rows) == json.dumps(oracle)
+
+
 class TestFailureModes:
     def test_corrupt_file_is_reported_with_worker_id(self):
         sim, keys, _ = setup_data(rows=400, files=2)
@@ -211,3 +303,20 @@ class TestReport:
         _, report = run_query(sim, plan, keys)
         row = report.to_csv_row()
         assert len(row.split(",")) == len(engine.QueryReport.CSV_HEADER.split(","))
+
+    # Reports of the canned queries on a small dataset, as the row-at-a-time
+    # engine simulated them: a speed-up must not move any of these figures.
+    def test_q1_report_pinned(self):
+        sim, keys, tables = setup_data()
+        plan = engine.q1_plan(datagen.percentile_value(tables, "shipdate", 0.98))
+        rows, report = run_query(sim, plan, keys)
+        assert report.to_csv_row() == "4,362413,112000,40000,6,5.76e-05,2.7774516e-05,8.5374516e-05"
+        assert rows[0] == [[0, 0], [8288, 1528977730, 145309613511, 15135397701080, 314]]
+
+    def test_q6_report_pinned(self):
+        sim, keys, tables = setup_data()
+        lo = datagen.percentile_value(tables, "shipdate", 0.40)
+        hi = datagen.percentile_value(tables, "shipdate", 0.42)
+        rows, report = run_query(sim, engine.q6_plan(lo, hi), keys, files_per_worker=2)
+        assert report.to_csv_row() == "2,190673,104000,20000,1,4.8e-06,3.342933e-06,8.142933e-06"
+        assert rows == [[[], [76842415]]]

@@ -193,6 +193,21 @@ class TestWriteCombining:
         assert sim.ledger.count(READ) == 2 * P * 4
         assert sim.ledger.count(LIST) == 2 * P
 
+    def test_second_run_on_used_buckets_rejected(self):
+        sim = fresh_sim()
+        cfg = exchange.ExchangeConfig(write_combining=exchange.WC_OFFSETS_IN_NAME)
+        first, _ = run(sim, {0: [(1, b"x" * 5)], 1: []}, cfg)
+        assert first == {0: [], 1: [(1, b"x" * 5)]}
+        requests = [sim.ledger.count(c) for c in (READ, WRITE, LIST)]
+        with pytest.raises(ValueError, match="'xchg-0'.*'xchg'"):
+            run(sim, {0: [(1, b"z" * 90)], 1: []}, cfg)
+        assert [sim.ledger.count(c) for c in (READ, WRITE, LIST)] == requests
+        other = exchange.ExchangeConfig(
+            write_combining=exchange.WC_OFFSETS_IN_NAME, bucket_prefix="xchg2"
+        )
+        second, _ = run(sim, {0: [(1, b"z" * 90)], 1: []}, other)
+        assert second == {0: [], 1: [(1, b"z" * 90)]}
+
     def test_offsets_file_doubles_reads(self):
         P = 16
         sim = fresh_sim()

@@ -1,4 +1,5 @@
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,45 @@ class TestRoundTrip:
         assert lcf.read_table(data) == [sum((g[0] for g in groups), [])]
 
 
+class TestPlainCodec:
+    """The plain encoding is the values' little-endian bytes, back to back."""
+
+    def _check(self, values, typ):
+        fmt = "<q" if typ == lcf.INT64 else "<d"
+        encoded = lcf.encode_chunk(values, typ, lcf.ENC_PLAIN)
+        assert encoded == b"".join(struct.pack(fmt, v) for v in values)
+        meta = lcf.ColumnChunkMeta(0, len(encoded), len(encoded), lcf.ENC_PLAIN,
+                                   lcf.ColumnStats(0, 0))
+        for little_endian_host in (True, False):  # both decode paths
+            with mock.patch.object(lcf, "_LITTLE_ENDIAN_HOST", little_endian_host):
+                decoded = lcf.decode_chunk(meta, encoded, typ, len(values))
+            assert [struct.pack(fmt, v) for v in decoded] == [
+                struct.pack(fmt, v) for v in values
+            ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=40))
+    def test_int64_matches_struct(self, values):
+        self._check(values, lcf.INT64)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.sampled_from([-0.0, float("inf"), float("-inf")]),
+                # any bit pattern, NaN payloads included
+                st.integers(min_value=0, max_value=2**64 - 1).map(
+                    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    def test_float64_matches_struct(self, values):
+        self._check(values, lcf.FLOAT64)
+
+
 class TestValidation:
     def test_bad_magic(self):
         with pytest.raises(errors.BadMagic):
@@ -132,6 +172,18 @@ class TestValidation:
     def test_type_mismatch_on_write(self):
         with pytest.raises(errors.TypeMismatch):
             lcf.write_file(SCHEMA_XY, [[[1], [2]]])
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            ([[1, 2], [1.0, 2]], "expected float for FLOAT64 column, got 2"),
+            ([[1, 2.0], [1.0, 2.0]], "expected int for INT64 column, got 2.0"),
+        ],
+    )
+    def test_type_mismatch_names_the_value(self, table, message):
+        # struct.pack('<d', 2) would take the int silently; the writer must not
+        with pytest.raises(errors.TypeMismatch, match=message):
+            lcf.write_file(SCHEMA_XY, [table])
 
     def test_empty_row_group_rejected(self):
         with pytest.raises(errors.EmptyRowGroup):

@@ -140,6 +140,32 @@ class TestExecute:
         assert batches == [[[20]]]
         assert report.rows == 1
 
+    def test_float_stats_inside_interval_still_filter_nan(self):
+        # min()/max() skip a NaN that is not first: the stats read [1.0, 2.0]
+        schema = lcf.Schema((("f", lcf.FLOAT64), ("b", lcf.INT64)))
+        data = lcf.write_file(schema, [[[1.0, float("nan"), 2.0], [10, 20, 30]]])
+        assert lcf.read_footer(data).row_groups[0].chunks[0].stats == lcf.ColumnStats(1.0, 2.0)
+        sim = seeded_sim({"f.lcf": data})
+        preds = scan.PredicateSet((("f", 0.0, 5.0),), ("b",))
+        batches, report = run_scan(sim, ["f.lcf"], preds)
+        assert batches == [[[10, 30]]]
+        assert report.rows == 2
+
+    def test_int_stats_skip_only_groups_wholly_inside(self):
+        groups = [
+            [[3, 4], [1, 2]],  # both columns inside: no row check
+            [[4, 9], [3, 4]],  # a overlaps partly
+            [[1, 5], [5, 2]],  # a overlaps partly, b inside
+            [[3, 3], [9, 1]],  # a inside, b overlaps partly
+            [[4, 1], [9, 2]],  # every row fails, the stats do not show it
+        ]
+        data, _ = make_file(groups)
+        sim = seeded_sim({"f.lcf": data})
+        preds = scan.PredicateSet((("a", 3, 5), ("b", 0, 6)), ("a", "b"))
+        batches, report = run_scan(sim, ["f.lcf"], preds)
+        assert batches == [[[3, 4], [1, 2]], [[4], [3]], [[5], [2]], [[3], [1]], [[], []]]
+        assert report.rows == 5
+
     def test_fully_pruned_file_costs_footer_only(self):
         data, _ = make_file([[[10, 20], [0, 0]]])
         sim = seeded_sim({"f.lcf": data})
