@@ -14,10 +14,9 @@ from pathlib import Path
 
 from . import datagen, econ, engine, exchange, invoke
 from .billing import format_usd
-from .clock import US_PER_S
+from .clock import AllOf, US_PER_S
 from .config import SimConfig, load_config
-from .scan import ScanConfig
-from .substrate import CloudSim, FunctionSpec, HostContext, ZeroBlob
+from .substrate import CloudSim, FunctionSpec, ZeroBlob
 
 MIB = 1024 * 1024
 DESK_SCALE_BYTES = 8 * MIB  # keeps bench runs interactive on one core
@@ -170,8 +169,6 @@ def bench_scan_sweep(cfg: SimConfig, args, outdir: Path) -> list[str]:
                 starts = list(range(0, total, chunk))
                 shards = [starts[i::conns] for i in range(conns)]
                 tasks = [sim.loop.spawn(fetch(s)) for s in shards if s]
-                from .clock import AllOf
-
                 yield AllOf(tasks)
 
             sim.loop.run_task(main())

@@ -15,14 +15,6 @@ US_PER_MS = 1_000
 US_PER_S = 1_000_000
 
 
-def s_to_us(seconds: float) -> int:
-    return round(seconds * US_PER_S)
-
-
-def us_to_s(us: int) -> float:
-    return us / US_PER_S
-
-
 class Sleep:
     """Yield from a task to suspend it for `duration_us` virtual microseconds."""
 

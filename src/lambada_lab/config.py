@@ -67,7 +67,6 @@ class SimConfig:
     driver_invoke_rate_per_s: Fraction = Fraction(250)
     worker_invoke_rate_per_s: Fraction = Fraction(80)
     concurrency_limit: int = 1000
-    reject_over_concurrency: bool = False
     max_payload_bytes: int = 256 * 1024
 
     # Object-store semantics.
@@ -108,7 +107,6 @@ _FRACTION_KEYS = {
     if f.type == "Fraction"
 }
 _INT_KEYS = {f.name for f in fields(SimConfig) if f.type == "int"}
-_BOOL_KEYS = {f.name for f in fields(SimConfig) if f.type == "bool"}
 
 
 def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
@@ -128,8 +126,6 @@ def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
             overrides[key] = _frac(value)
         elif key in _INT_KEYS:
             overrides[key] = int(value)
-        elif key in _BOOL_KEYS:
-            overrides[key] = value.lower() in ("1", "true", "yes", "on")
         else:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
     if region is not None:

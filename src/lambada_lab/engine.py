@@ -341,7 +341,7 @@ def execute(
                 )
             if "spilled" in message:
                 spill_bucket, key = message["spilled"]
-                raw, _ = yield from sim.store.get_object(driver, spill_bucket, key)
+                raw = yield from sim.store.get_object(driver, spill_bucket, key)
                 message = json.loads(bytes(raw))
             partials.append(message["partial"])
         rows = merge_partials(partials)

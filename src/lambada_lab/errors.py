@@ -29,10 +29,6 @@ class Timeout(SimError):
     pass
 
 
-class ConcurrencyLimitExceeded(SimError):
-    pass
-
-
 class PayloadTooLarge(SimError):
     pass
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .billing import LIST, READ, WRITE, format_usd
+from .billing import LIST, READ, WRITE
 from .clock import AllOf, Sleep, US_PER_MS
 from .substrate import HostContext, ZeroBlob
 
@@ -74,7 +74,6 @@ class ExchangeConfig:
     levels: int = 1
     write_combining: str = WC_OFF
     num_buckets: int = 1
-    group_side: int | None = None
     bucket_prefix: str = "xchg"
     poll: bool = False  # bill NotFound probes instead of subscribing
 
@@ -87,12 +86,6 @@ class ExchangeConfig:
             raise ValueError("need at least one bucket")
         if self.poll and self.write_combining == WC_OFFSETS_IN_NAME:
             raise ValueError("offsets_in_name discovers keys by listing; poll does not apply")
-
-    def side(self, P: int) -> int:
-        s = self.group_side if self.group_side is not None else ceil_root(P, self.levels)
-        if s**self.levels < P:
-            raise ValueError(f"grid {s}^{self.levels} does not cover {P} workers")
-        return s
 
 
 class NamingScheme:
@@ -178,7 +171,7 @@ class _ExchangeRun:
         self.sim = sim
         self.P = P
         self.cfg = cfg
-        self.s = cfg.side(P)
+        self.s = ceil_root(P, cfg.levels)
         self.naming = NamingScheme(cfg.bucket_prefix, cfg.num_buckets)
         for name in self.naming.all_buckets():
             # keys are not scoped by run: a LIST would return an earlier
@@ -275,7 +268,7 @@ class _ExchangeRun:
                     yield from sim.store.wait_for_object(bucket, key)
                 wait_us = sim.loop.now - t0
             for bucket, key in keys:
-                blob, _ = yield from sim.store.get_object_when_ready(
+                blob = yield from sim.store.get_object_when_ready(
                     ctx, bucket, key, poll=cfg.poll
                 )
                 blobs.append(blob)
@@ -287,11 +280,11 @@ class _ExchangeRun:
                 if not cfg.poll:
                     yield from sim.store.wait_for_object(bucket, key)
                 wait_us += sim.loop.now - t0
-                raw, _ = yield from sim.store.get_object_when_ready(
+                raw = yield from sim.store.get_object_when_ready(
                     ctx, bucket, key, poll=cfg.poll
                 )
                 offsets = struct.unpack(f"<{len(raw) // 8}Q", bytes(raw))
-                blob, _ = yield from sim.store.get_object(
+                blob = yield from sim.store.get_object(
                     ctx, bucket, naming.combined_key(level, q), (offsets[c], offsets[c + 1])
                 )
                 blobs.append(blob)
@@ -304,7 +297,7 @@ class _ExchangeRun:
         for bucket in sorted({naming.bucket(q) for q, _ in my_senders}):
             while self.written[level, bucket] < self.owners[bucket]:
                 yield Sleep(PREFIX_POLL_US)
-            keys, _ = yield from sim.store.list_objects(ctx, bucket, prefix)
+            keys = yield from sim.store.list_objects(ctx, bucket, prefix)
             if (level, bucket) not in self.listed:
                 index = self.listed[level, bucket] = {}
                 for key in keys:
@@ -314,7 +307,7 @@ class _ExchangeRun:
         for q, c in my_senders:
             bucket = naming.bucket(q)
             key, offsets = self.listed[level, bucket][q]
-            blob, _ = yield from sim.store.get_object(
+            blob = yield from sim.store.get_object(
                 ctx, bucket, key, (offsets[c], offsets[c + 1])
             )
             blobs.append(blob)
@@ -399,14 +392,7 @@ class CostModelRow:
     scans: int
     request_usd: Fraction
 
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.variant},{self.reads},{self.writes},{self.lists},"
-            f"{self.scans},{format_usd(self.request_usd)}"
-        )
 
-
-COST_CSV_HEADER = "variant,reads,writes,lists,scans,request_usd"
 VARIANTS = ("1l", "1l-wc", "2l", "2l-wc", "3l", "3l-wc")
 
 

@@ -292,7 +292,7 @@ def read_footer_ranged(sim, ctx, bucket: str, key: str):
     Issues exactly one suffix-range GET for footers smaller than the window
     and one extra GET otherwise.  Returns (footer, file_size, requests).
     """
-    tail, receipt = yield from sim.store.get_object(
+    tail = yield from sim.store.get_object(
         ctx, bucket, key, (-FOOTER_TAIL_WINDOW, None)
     )
     tail = bytes(tail)
@@ -303,7 +303,7 @@ def read_footer_ranged(sim, ctx, bucket: str, key: str):
     if footer_off >= tail_start:
         raw = tail[footer_off - tail_start : footer_off - tail_start + footer_len]
     else:
-        raw, _ = yield from sim.store.get_object(
+        raw = yield from sim.store.get_object(
             ctx, bucket, key, (footer_off, footer_off + footer_len)
         )
         raw = bytes(raw)

@@ -9,35 +9,28 @@ splitting inflates the request bill.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lcf
-from .billing import READ, format_usd
+from .billing import READ
 from .clock import Future
 
 MIN_CHUNK_SIZE = 64 * 1024
+ROW_GROUP_PREFETCH = 2  # row groups in flight at level 3
 
 
 @dataclass(frozen=True)
 class ScanConfig:
     chunk_size_bytes: int = 1024 * 1024
     max_connections: int = 4
-    row_group_prefetch: int = 2
-    metadata_prefetch: bool = True
-    decompress_threads: int = 1
 
     def __post_init__(self):
         if self.chunk_size_bytes < MIN_CHUNK_SIZE:
             raise ValueError("chunk size below 64 KiB floor")
         if self.max_connections < 1:
             raise ValueError("need at least one connection")
-        if self.row_group_prefetch < 1:
-            raise ValueError("need at least one row group in flight")
-        if self.decompress_threads not in (1, 2):
-            raise ValueError("decompress_threads must be 1 or 2")
 
 
 @dataclass(frozen=True)
@@ -107,7 +100,6 @@ class PlanItem:
     column: str
     start: int
     length: int
-    slot: int
 
 
 def plan_downloads(
@@ -121,11 +113,10 @@ def plan_downloads(
         raise ValueError("plan needs at least one surviving group")
     col_idx = [footer.schema.index_of(c) for c in columns]
     level = 2 if len(surviving) == 1 else 3
-    in_flight_groups = 1 if level == 2 else min(config.row_group_prefetch, len(surviving))
+    in_flight_groups = 1 if level == 2 else min(ROW_GROUP_PREFETCH, len(surviving))
     budget = len(columns) * in_flight_groups
     allow_split = budget < config.max_connections
     items: list[PlanItem] = []
-    slot = 0
     for g in surviving:
         rg = footer.row_groups[g]
         for name, ci in zip(columns, col_idx):
@@ -133,26 +124,10 @@ def plan_downloads(
             if allow_split and chunk.compressed_len > config.chunk_size_bytes:
                 for off in range(0, chunk.compressed_len, config.chunk_size_bytes):
                     length = min(config.chunk_size_bytes, chunk.compressed_len - off)
-                    items.append(PlanItem(1, g, name, chunk.offset + off, length,
-                                          slot % config.max_connections))
-                    slot += 1
+                    items.append(PlanItem(1, g, name, chunk.offset + off, length))
             else:
-                items.append(PlanItem(level, g, name, chunk.offset,
-                                      chunk.compressed_len,
-                                      slot % config.max_connections))
-                slot += 1
+                items.append(PlanItem(level, g, name, chunk.offset, chunk.compressed_len))
     return items
-
-
-def plan_dump(items: list[PlanItem]) -> str:
-    return json.dumps(
-        [
-            {"level": it.level, "group": it.group, "column": it.column,
-             "start": it.start, "length": it.length, "slot": it.slot}
-            for it in items
-        ],
-        indent=2,
-    )
 
 
 @dataclass
@@ -165,15 +140,6 @@ class ScanReport:
     duration_us: int = 0
     request_usd: Fraction = Fraction(0)
     worker_usd: Fraction = Fraction(0)
-
-    CSV_HEADER = "requests,bytes,rows,groups_read,groups_pruned,duration_us,request_usd,worker_usd"
-
-    def to_csv_row(self) -> str:
-        return (
-            f"{self.requests},{self.bytes},{self.rows},{self.groups_read},"
-            f"{self.groups_pruned},{self.duration_us},"
-            f"{format_usd(self.request_usd)},{format_usd(self.worker_usd)}"
-        )
 
 
 class _Gate:
@@ -215,9 +181,6 @@ def execute_scan(
     config = config or ScanConfig()
     report = ScanReport()
     start_us = sim.loop.now
-    start_counts = {
-        b: sim.ledger.count(READ, b) for b in {bucket}
-    }
     gate = _Gate(config.max_connections)
 
     # level 4: footers travel on their own logical connection
@@ -225,10 +188,7 @@ def execute_scan(
         footer, _size, requests = yield from lcf.read_footer_ranged(sim, ctx, bucket, path)
         return footer, requests
 
-    footer_tasks = {}
-    if config.metadata_prefetch:
-        for path in paths:
-            footer_tasks[path] = sim.loop.spawn(fetch_footer(path))
+    footer_tasks = {path: sim.loop.spawn(fetch_footer(path)) for path in paths}
 
     fetch_cols = list(predicates.projection)
     for name, _, _ in predicates.intervals:
@@ -239,7 +199,7 @@ def execute_scan(
     def fetch_item(path, item):
         yield from gate.acquire()
         try:
-            data, _ = yield from sim.store.get_object(
+            data = yield from sim.store.get_object(
                 ctx, bucket, path, (item.start, item.start + item.length)
             )
             return bytes(data)
@@ -248,10 +208,7 @@ def execute_scan(
 
     batches = []
     for path in paths:
-        if path in footer_tasks:
-            footer, footer_requests = yield footer_tasks[path]
-        else:
-            footer, footer_requests = yield from fetch_footer(path)
+        footer, footer_requests = yield footer_tasks[path]
         report.requests += footer_requests
         surviving = prune_row_groups(footer, predicates) if prune else list(
             range(len(footer.row_groups))
@@ -276,7 +233,7 @@ def execute_scan(
             pending.append((g, tasks))
             return True
 
-        window = 1 if len(surviving) == 1 else config.row_group_prefetch
+        window = 1 if len(surviving) == 1 else ROW_GROUP_PREFETCH
         for _ in range(window):
             if not launch_next_group():
                 break
@@ -310,14 +267,13 @@ def execute_scan(
             ]
             cycles = sim.cfg.decode_cycles_per_byte * total_encoded
             if cycles:
-                yield from ctx.compute(cycles, threads=config.decompress_threads)
+                yield from ctx.compute(cycles)
             batch = _filter_batch(decoded, predicates.projection, checks)
             report.rows += len(batch[0])
             batches.append(batch)
 
     report.duration_us = sim.loop.now - start_us
-    read_delta = sim.ledger.count(READ, bucket) - start_counts[bucket]
-    report.request_usd = read_delta * sim.prices.request_price(READ)
+    report.request_usd = report.requests * sim.prices.request_price(READ)
     if ctx.spec is not None:
         report.worker_usd = (
             sim.prices.worker_rate(ctx.spec.memory_mib)

@@ -9,18 +9,20 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Generator
 
 from . import errors
 from .billing import BillingLedger, PriceSheet, LIST, READ, WRITE
-from .clock import AllOf, Future, SimLoop, Sleep, Task, US_PER_MS, US_PER_S
+from .clock import Future, SimLoop, Sleep, Task, US_PER_MS, US_PER_S
 from .config import MIB, SimConfig
 
 VCPU_BASELINE_MIB = 1792
 MEMORY_MIB_MIN = 128
 MEMORY_MIB_MAX = 3008
+# A cold container runs its first invocation this much slower.
+COLD_START_PENALTY_FACTOR = Fraction(6, 5)
 
 
 def cpu_throughput(memory_mib: int, threads: int) -> Fraction:
@@ -33,18 +35,12 @@ def cpu_throughput(memory_mib: int, threads: int) -> Fraction:
 @dataclass(frozen=True)
 class FunctionSpec:
     memory_mib: int = 2048
-    timeout_s: int = 900
-    cold_start_penalty_factor: Fraction = Fraction("1.2")
 
     def __post_init__(self):
         if not MEMORY_MIB_MIN <= self.memory_mib <= MEMORY_MIB_MAX:
             raise ValueError(
                 f"memory_mib must be in [{MEMORY_MIB_MIN}, {MEMORY_MIB_MAX}]"
             )
-
-    @property
-    def cpu_share(self) -> Fraction:
-        return Fraction(self.memory_mib, VCPU_BASELINE_MIB)
 
 
 class ZeroBlob:
@@ -166,29 +162,16 @@ class HostContext:
         self.perf_factor = perf_factor
         self._next_invoke_slot = 0
 
-    @property
-    def memory_mib(self) -> int:
-        return self.spec.memory_mib if self.spec else 0
-
-    def compute(self, cycles: int | Fraction, threads: int = 1):
+    def compute(self, cycles: int | Fraction):
         """Burn virtual CPU time for `cycles` cycles at this host's share."""
         if cycles <= 0:
             return
         if self.spec is None:
             throughput = Fraction(1)
         else:
-            throughput = cpu_throughput(self.spec.memory_mib, threads)
+            throughput = cpu_throughput(self.spec.memory_mib, 1)
         seconds = Fraction(cycles) / (self.sim.cfg.vcpu_hz * throughput)
         yield Sleep(math.ceil(seconds * self.perf_factor * US_PER_S))
-
-
-@dataclass
-class Receipt:
-    duration_us: int
-    category: str
-    bucket: str
-    nbytes: int = 0
-    attempts: int = 1
 
 
 class RateLimiter:
@@ -269,34 +252,43 @@ class ObjectStore:
         if len(key.encode("utf-8")) > self.sim.cfg.max_key_bytes:
             raise errors.KeyTooLong(f"key is {len(key)} bytes, limit is {self.sim.cfg.max_key_bytes}")
 
-    def _admit(self, limiter: RateLimiter):
-        cfg = self.sim.cfg
-        attempts = 1
-        while not limiter.try_admit(self.sim.loop.now):
-            self.sim.ledger.record_throttle()
-            if attempts > cfg.throttle_max_retries:
+    def _request(self, ctx: HostContext, b: Bucket, category: str) -> Generator:
+        """Admit, bill and open one request: the path every store call takes.
+
+        Admission retries against the bucket's rate limiter after each
+        throttle; the request is billed once admitted and then waits for its
+        first byte.
+        """
+        sim = self.sim
+        cfg = sim.cfg
+        limiter = b.write_limiter if category == WRITE else b.read_limiter
+        retries = 0
+        while not limiter.try_admit(sim.loop.now):
+            sim.ledger.record_throttle()
+            if retries >= cfg.throttle_max_retries:
                 raise errors.Throttled(
                     f"request still throttled after {cfg.throttle_max_retries} retries"
                 )
-            attempts += 1
+            retries += 1
             yield Sleep(cfg.throttle_retry_delay_ms * US_PER_MS)
-        return attempts
+        sim.ledger.charge_request(category, b.name)
+        yield Sleep(ctx.first_byte_latency_us)
+
+    def _transfer(self, nic: Nic, nbytes: int) -> Generator:
+        """Move `nbytes` through `nic`, waiting until the transfer finishes."""
+        now = self.sim.loop.now
+        finish = nic.reserve(nbytes, now)
+        if finish > now:
+            yield Sleep(finish - now)
 
     def put_object(self, ctx: HostContext, bucket: str, key: str, data) -> Generator:
-        """Write an object; returns a Receipt. Overwrites atomically."""
+        """Write an object. Overwrites atomically once the upload finishes."""
         b = self.bucket(bucket)
         self._check_key(key)
-        start = self.sim.loop.now
-        attempts = yield from self._admit(b.write_limiter)
-        self.sim.ledger.charge_request(WRITE, bucket)
-        yield Sleep(ctx.first_byte_latency_us)
-        nbytes = len(data)
-        finish = ctx.egress.reserve(nbytes, self.sim.loop.now)
-        if finish > self.sim.loop.now:
-            yield Sleep(finish - self.sim.loop.now)
+        yield from self._request(ctx, b, WRITE)
+        yield from self._transfer(ctx.egress, len(data))
         b.objects[key] = data
         b.notify_put(key)
-        return Receipt(self.sim.loop.now - start, WRITE, bucket, nbytes, attempts)
 
     def get_object(
         self,
@@ -305,17 +297,15 @@ class ObjectStore:
         key: str,
         byte_range: tuple[int, int | None] | None = None,
     ) -> Generator:
-        """Read an object or a byte range of it; returns (data, Receipt).
+        """Read an object or a byte range of it; returns the bytes.
 
         A range with a negative start addresses the object's tail (suffix
         read), mirroring HTTP suffix ranges.  Requests for missing keys are
-        billed like any other and raise NotFound.
+        billed like any other and raise NotFound.  The bytes are sliced
+        before the transfer, so an overwrite while it runs cannot change them.
         """
         b = self.bucket(bucket)
-        start = self.sim.loop.now
-        attempts = yield from self._admit(b.read_limiter)
-        self.sim.ledger.charge_request(READ, bucket)
-        yield Sleep(ctx.first_byte_latency_us)
+        yield from self._request(ctx, b, READ)
         if key not in b.objects:
             raise errors.NotFound(f"{bucket}/{key}")
         obj = b.objects[key]
@@ -331,20 +321,14 @@ class ObjectStore:
             if lo > size or hi < lo:
                 raise errors.InvalidRange(f"range [{lo}, {hi}) of object of size {size}")
         data = obj[lo:hi]
-        finish = ctx.ingress.reserve(hi - lo, self.sim.loop.now)
-        if finish > self.sim.loop.now:
-            yield Sleep(finish - self.sim.loop.now)
-        return data, Receipt(self.sim.loop.now - start, READ, bucket, hi - lo, attempts)
+        yield from self._transfer(ctx.ingress, hi - lo)
+        return data
 
     def list_objects(self, ctx: HostContext, bucket: str, prefix: str = "") -> Generator:
         """List keys with `prefix`, lexicographically sorted. Billed as a write."""
         b = self.bucket(bucket)
-        start = self.sim.loop.now
-        yield from self._admit(b.read_limiter)
-        self.sim.ledger.charge_request(LIST, bucket)
-        yield Sleep(ctx.first_byte_latency_us)
-        keys = sorted(k for k in b.objects if k.startswith(prefix))
-        return keys, Receipt(self.sim.loop.now - start, LIST, bucket)
+        yield from self._request(ctx, b, LIST)
+        return sorted(k for k in b.objects if k.startswith(prefix))
 
     def wait_for_object(self, bucket: str, key: str) -> Generator:
         """Suspend until `key` exists.  Free: models a well-tuned existence poll."""
@@ -370,13 +354,11 @@ class ObjectStore:
         """
         if not poll:
             yield from self.wait_for_object(bucket, key)
-            result = yield from self.get_object(ctx, bucket, key, byte_range)
-            return result
+            return (yield from self.get_object(ctx, bucket, key, byte_range))
         cfg = self.sim.cfg
         for attempt in range(cfg.notfound_poll_budget):
             try:
-                result = yield from self.get_object(ctx, bucket, key, byte_range)
-                return result
+                return (yield from self.get_object(ctx, bucket, key, byte_range))
             except errors.NotFound:
                 yield Sleep(cfg.notfound_poll_backoff_ms * US_PER_MS)
         raise errors.NotFound(
@@ -464,10 +446,6 @@ class FaaSService:
             raise errors.PayloadTooLarge(
                 f"payload of {len(payload)} bytes exceeds {cfg.max_payload_bytes}"
             )
-        if cfg.reject_over_concurrency and self.running >= cfg.concurrency_limit:
-            raise errors.ConcurrencyLimitExceeded(
-                f"{self.running} concurrent executions at limit {cfg.concurrency_limit}"
-            )
         now = self.sim.loop.now
         slot = max(now, ctx._next_invoke_slot)
         ctx._next_invoke_slot = slot + math.ceil(Fraction(US_PER_S) / ctx.invoke_rate_per_s)
@@ -477,7 +455,7 @@ class FaaSService:
 
         cold = function_name not in self._warm
         self._warm.add(function_name)
-        perf = spec.cold_start_penalty_factor if cold else Fraction(1)
+        perf = COLD_START_PENALTY_FACTOR if cold else Fraction(1)
         worker_ctx = HostContext(
             self.sim,
             worker_name or f"{function_name}-{initiated_at}",

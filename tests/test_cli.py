@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from lambada_lab import cli, datagen, lcf
@@ -107,3 +108,25 @@ def test_bench_reruns_are_byte_identical(tmp_path):
         run_cli("bench", "scan-sweep", "-o", str(out))
     for f in a.iterdir():
         assert (b / f.name).read_bytes() == f.read_bytes()
+
+
+# SHA-256 over the names and bytes of every CSV the runs below write; any
+# change to a simulated latency, request count or dollar figure moves it.
+GOLDEN_BENCH_SHA256 = "fdd2670c3bcb263b51e04924bfffcdbb8a5967f85104403f8af11c3ef601618b"
+
+
+def test_bench_outputs_match_golden_digest(tmp_path):
+    run_cli("bench", "q1", *SMALL, "-o", str(tmp_path))
+    run_cli("bench", "q6", *SMALL, "-o", str(tmp_path))
+    run_cli("bench", "invoke", "-P", "256", "-o", str(tmp_path))
+    run_cli(
+        "bench", "exchange", "--workers", "16", "27", "--total-bytes", "16000000",
+        "--buckets", "3", "-o", str(tmp_path),
+    )
+    run_cli("bench", "scan-sweep", "-o", str(tmp_path))
+    run_cli("bench", "econ", "-o", str(tmp_path))
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    assert digest.hexdigest() == GOLDEN_BENCH_SHA256

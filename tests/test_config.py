@@ -29,12 +29,10 @@ def test_parse_overrides_and_comments():
         # tuning
         steady_mib_per_s = 120
         concurrency_limit = 64
-        reject_over_concurrency = true
         """
     )
     assert cfg.steady_mib_per_s == 120
     assert cfg.concurrency_limit == 64
-    assert cfg.reject_over_concurrency is True
 
 
 def test_parse_region_key():
