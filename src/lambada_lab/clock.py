@@ -29,7 +29,7 @@ class Sleep:
 class Future:
     """One-shot result container tasks can wait on by yielding it."""
 
-    __slots__ = ("_done", "_result", "_error", "_callbacks")
+    __slots__ = ("_done", "_result", "_error", "_observed", "_callbacks")
 
     def __init__(self):
         self._done = False
@@ -45,6 +45,7 @@ class Future:
         if not self._done:
             raise RuntimeError("future is not done")
         if self._error is not None:
+            self._observed = True
             raise self._error
         return self._result
 
@@ -60,6 +61,7 @@ class Future:
             raise RuntimeError("future already resolved")
         self._done = True
         self._error = exc
+        self._observed = False  # until result() raises it
         self._fire()
 
     def add_callback(self, fn: Callable[[Future], None]) -> None:
@@ -85,13 +87,37 @@ class Task(Future):
         self.name = name
 
 
-class AllOf:
-    """Yield from a task to wait until every given future is done."""
+class AllOf(Future):
+    """A future over several: resolves to their results in list order once all
+    are done, or fails with the first error in list order."""
 
-    __slots__ = ("futures",)
+    __slots__ = ("futures", "_remaining")
 
     def __init__(self, futures: Iterable[Future]):
+        super().__init__()
         self.futures = list(futures)
+        self._remaining = len(self.futures) + 1  # + 1 until all are registered
+        for fut in self.futures:
+            fut.add_callback(self._member_done)
+        self._member_done(self)
+
+    def _member_done(self, _fut: Future) -> None:
+        self._remaining -= 1
+        if self._remaining:
+            return
+        error = next((f._error for f in self.futures if f._error is not None), None)
+        if error is None:
+            self.set_result([f._result for f in self.futures])
+        else:
+            self.set_error(error)
+
+    def result(self) -> Any:
+        if self._error is not None:
+            # whoever sees the first error has seen its siblings' too
+            for fut in self.futures:
+                if fut._error is not None:
+                    fut._observed = True
+        return super().result()
 
 
 class SimLoop:
@@ -101,6 +127,7 @@ class SimLoop:
         self.now: int = 0
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._seq = 0
+        self._failed: list[Task] = []  # tasks that ended with an error
 
     def call_at(self, when_us: int, fn: Callable[[], None]) -> None:
         if when_us < self.now:
@@ -108,13 +135,13 @@ class SimLoop:
         heapq.heappush(self._heap, (int(when_us), self._seq, fn))
         self._seq += 1
 
-    def call_later(self, delay_us: int, fn: Callable[[], None]) -> None:
-        self.call_at(self.now + int(delay_us), fn)
-
-    def spawn(self, gen: Generator, name: str = "") -> Task:
-        task = Task(gen, name=name)
+    def start(self, task: Task) -> Task:
+        """Schedule `task`'s first step at the current time."""
         self.call_at(self.now, lambda: self._step(task, None, None))
         return task
+
+    def spawn(self, gen: Generator, name: str = "") -> Task:
+        return self.start(Task(gen, name=name))
 
     def _step(self, task: Task, value: Any, exc: BaseException | None) -> None:
         if task.done:
@@ -129,16 +156,15 @@ class SimLoop:
             return
         except Exception as err:
             task.set_error(err)
+            self._failed.append(task)
             return
         self._dispatch(task, yielded)
 
     def _dispatch(self, task: Task, yielded: Any) -> None:
         if isinstance(yielded, Sleep):
-            self.call_later(yielded.duration_us, lambda: self._step(task, None, None))
+            self.call_at(self.now + yielded.duration_us, lambda: self._step(task, None, None))
         elif isinstance(yielded, Future):
             yielded.add_callback(lambda fut: self._resume_from(task, fut))
-        elif isinstance(yielded, AllOf):
-            self._wait_all(task, yielded.futures)
         else:
             self._step(task, None, TypeError(f"task yielded unsupported value: {yielded!r}"))
 
@@ -151,32 +177,6 @@ class SimLoop:
             return
         self.call_at(self.now, lambda: self._step(task, value, None))
 
-    def _wait_all(self, task: Task, futures: list[Future]) -> None:
-        pending = [f for f in futures if not f.done]
-        if not pending:
-            self._finish_all(task, futures)
-            return
-        remaining = [len(pending)]
-
-        def on_done(_fut: Future) -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                self._finish_all(task, futures)
-
-        for fut in pending:
-            fut.add_callback(on_done)
-
-    def _finish_all(self, task: Task, futures: list[Future]) -> None:
-        def resume() -> None:
-            try:
-                results = [f.result() for f in futures]
-            except Exception as err:
-                self._step(task, None, err)
-                return
-            self._step(task, results, None)
-
-        self.call_at(self.now, resume)
-
     def run(self) -> None:
         """Drain the event queue, advancing virtual time."""
         while self._heap:
@@ -185,9 +185,21 @@ class SimLoop:
             fn()
 
     def run_task(self, gen: Generator, name: str = "") -> Any:
-        """Spawn a task, drive the loop until idle, and return its result."""
+        """Spawn a task, drive the loop until idle, and return its result.
+
+        Raises the task's own error if it failed.  Otherwise an error that
+        ended some other task and that nobody has seen (no `result()` raised
+        it) is raised, chained, as a `RuntimeError` naming that task.
+        """
         task = self.spawn(gen, name=name)
         self.run()
+        failed, self._failed = self._failed, []
+        if task.done and task._error is not None:
+            return task.result()  # raises the task's own error
+        lost = next((t for t in failed if not t._observed), None)
+        cause = None if lost is None else lost._error
         if not task.done:
-            raise RuntimeError(f"task {task.name or gen!r} never completed (deadlock?)")
+            raise RuntimeError(f"task {task.name or gen!r} never completed") from cause
+        if lost is not None:
+            raise RuntimeError(f"task {lost.name or lost.gen!r} failed unawaited") from cause
         return task.result()

@@ -291,12 +291,10 @@ def execute(
     queue = sim.queue("results")
     sim.store.create_bucket(SPILL_BUCKET)
 
-    def fragment(ctx, payload):
-        info = json.loads(payload)
-        wid = info["id"]
+    def fragment(ctx, wid, data):
         try:
             partial, _report = yield from run_fragment(
-                sim, ctx, bucket, info["data"]["paths"], plan, memory_budget_bytes
+                sim, ctx, bucket, data["paths"], plan, memory_budget_bytes
             )
             body = json.dumps({"worker": wid, "status": "ok", "partial": partial})
             if len(body) > QUEUE_PAYLOAD_CAP:

@@ -97,7 +97,8 @@ class InvocationReport:
         return rows
 
 
-def _noop_fragment(ctx, payload):
+def _noop_fragment(ctx, wid, data):
+    # holds the worker's concurrency slot for one event
     yield Sleep(0)
 
 
@@ -110,71 +111,47 @@ def run_plan(
 ):
     """Execute an invocation plan; returns a task for sim.loop.run_task.
 
-    `fragment(ctx, payload)` runs in every worker after it has finished its
-    own invocations (default: nothing).  `payload_extra(wid)` supplies
-    JSON-serializable per-worker input shipped inside the call payload;
-    first-generation payloads carry their children's inputs too.
+    `fragment(ctx, wid, data)` runs in every worker after it has finished its
+    own invocations (default: nothing).  `payload_extra(wid)` supplies the
+    JSON-serializable `data` shipped inside worker `wid`'s call payload;
+    first-generation payloads carry their children's data too.  A direct
+    plan is one whose workers have no children.
     """
     spec = spec or FunctionSpec()
     fragment = fragment or _noop_fragment
-    timings: dict[int, WorkerTiming] = {}
-    child_handles: list = []
+    # (worker, generation, parent, handle), in invocation order
+    handles: list = []
 
     def extra(wid: int):
         return payload_extra(wid) if payload_extra else None
 
-    def leaf_payload(wid: int) -> bytes:
-        return json.dumps({"id": wid, "data": extra(wid)}).encode()
+    def invoke_worker(ctx, wid: int, data, children):
+        payload = json.dumps({"id": wid, "data": data, "children": children}).encode()
+        return (
+            yield from sim.faas.invoke(ctx, spec, payload, handler, worker_name=f"w{wid}")
+        )
 
-    def leaf_handler(ctx, payload):
-        yield from fragment(ctx, payload)
-
-    def first_gen_handler(ctx, payload):
+    def handler(ctx, payload):
         info = json.loads(payload)
+        wid = info["id"]
         for cid, data in info["children"]:
-            handle = yield from sim.faas.invoke(
-                ctx,
-                spec,
-                json.dumps({"id": cid, "data": data}).encode(),
-                leaf_handler,
-                worker_name=f"w{cid}",
-            )
-            child_handles.append((cid, info["id"], handle))
-        yield from fragment(ctx, payload)
+            handle = yield from invoke_worker(ctx, cid, data, [])
+            handles.append((cid, 2, wid, handle))
+        yield from fragment(ctx, wid, info["data"])
 
     def main():
         ctx = sim.driver()
-        first = []
         for wid in plan.first_gen:
-            if plan.strategy == DIRECT:
-                handle = yield from sim.faas.invoke(
-                    ctx, spec, leaf_payload(wid), leaf_handler, worker_name=f"w{wid}"
-                )
-            else:
-                payload = json.dumps(
-                    {
-                        "id": wid,
-                        "data": extra(wid),
-                        "children": [
-                            [cid, extra(cid)] for cid in plan.assignment.get(wid, ())
-                        ],
-                    }
-                ).encode()
-                handle = yield from sim.faas.invoke(
-                    ctx, spec, payload, first_gen_handler, worker_name=f"w{wid}"
-                )
-            first.append((wid, handle))
-        yield AllOf([handle.worker for _, handle in first])
-        yield AllOf([handle.started for _, _, handle in child_handles])
-        for wid, handle in first:
-            timings[wid] = WorkerTiming(
-                wid, 1, -1, handle.initiated_at_us, handle.started_at_us
-            )
-        for cid, parent, handle in child_handles:
-            timings[cid] = WorkerTiming(
-                cid, 2, parent, handle.initiated_at_us, handle.started_at_us
-            )
-        rows = list(timings.values())
+            children = [[cid, extra(cid)] for cid in plan.assignment.get(wid, ())]
+            handle = yield from invoke_worker(ctx, wid, extra(wid), children)
+            handles.append((wid, 1, -1, handle))
+        yield AllOf([handle.worker for _, gen, _, handle in handles if gen == 1])
+        # every child is invoked by now; wait until each one has started
+        yield AllOf([handle.started for *_, handle in handles])
+        rows = [
+            WorkerTiming(wid, gen, parent, handle.initiated_at_us, handle.started_at_us)
+            for wid, gen, parent, handle in handles
+        ]
         return InvocationReport(
             plan,
             rows,

@@ -423,7 +423,7 @@ class FaaSService:
     def __init__(self, sim: "CloudSim"):
         self.sim = sim
         self.running = 0
-        self._pending: deque[Callable[[], None]] = deque()
+        self._pending: deque[Task] = deque()  # admitted, waiting for a free slot
         self._warm: set[str] = set()
         self.peak_concurrency = 0
 
@@ -465,7 +465,9 @@ class FaaSService:
         )
 
         started = Future()
-        worker = Task(self._run_worker(worker_ctx, spec, payload, handler, started))
+        worker = Task(
+            self._run_worker(worker_ctx, spec, payload, handler, started), name=worker_ctx.name
+        )
         latency_us = round(cfg.invoke_latency_ms * US_PER_MS)
         self.sim.loop.call_at(initiated_at + latency_us, lambda: self._admit(worker))
         return InvocationHandle(initiated_at, worker, started)
@@ -474,27 +476,23 @@ class FaaSService:
         if self.running < self.sim.cfg.concurrency_limit:
             self._start(worker)
         else:
-            self._pending.append(lambda: self._start(worker))
+            self._pending.append(worker)
 
     def _start(self, worker: Task) -> None:
         self.running += 1
         self.peak_concurrency = max(self.peak_concurrency, self.running)
-        self.sim.loop._step(worker, None, None)
+        self.sim.loop.start(worker)
 
     def _run_worker(self, ctx, spec, payload, handler, started) -> Generator:
-        start_us = None
+        start_us = self.sim.loop.now
+        started.set_result(start_us)
         try:
-            yield Sleep(0)  # first resume happens via _start
-            start_us = self.sim.loop.now
-            started.set_result(start_us)
-            result = yield from handler(ctx, payload)
-            return result
+            return (yield from handler(ctx, payload))
         finally:
-            if start_us is not None:
-                self.running -= 1
-                self.sim.ledger.charge_worker(spec.memory_mib, self.sim.loop.now - start_us)
-                if self._pending:
-                    self._pending.popleft()()
+            self.running -= 1
+            self.sim.ledger.charge_worker(spec.memory_mib, self.sim.loop.now - start_us)
+            if self._pending:
+                self._start(self._pending.popleft())
 
 
 class CloudSim:

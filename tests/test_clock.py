@@ -1,3 +1,5 @@
+import pytest
+
 from lambada_lab.clock import AllOf, Future, SimLoop, Sleep, US_PER_S
 
 
@@ -105,3 +107,92 @@ def test_determinism_of_event_trace():
         return trace
 
     assert run_once() == run_once()
+
+
+def test_all_of_nothing_resolves_without_advancing_time():
+    loop = SimLoop()
+
+    def main():
+        yield Sleep(3)
+        results = yield AllOf([])
+        return results, loop.now
+
+    assert loop.run_task(main()) == ([], 3)
+
+
+def test_all_of_takes_members_that_are_already_done():
+    loop = SimLoop()
+    early = Future()
+    early.set_result("early")
+
+    def child():
+        yield Sleep(4)
+        return "late"
+
+    def main():
+        alone = yield AllOf([early])
+        mixed = yield AllOf([loop.spawn(child()), early])
+        return alone, mixed, loop.now
+
+    assert loop.run_task(main()) == (["early"], ["late", "early"], 4)
+
+
+def test_all_of_raises_the_first_error_in_list_order():
+    loop = SimLoop()
+
+    def child(delay, tag):
+        yield Sleep(delay)
+        raise ValueError(tag)
+
+    def ok():
+        yield Sleep(1)
+        return "ok"
+
+    def main():
+        tasks = [
+            loop.spawn(ok()),
+            loop.spawn(child(20, "first in list")),
+            loop.spawn(child(10, "first in time")),
+        ]
+        try:
+            yield AllOf(tasks)
+        except ValueError as err:
+            return str(err), loop.now
+
+    # catching the AllOf's error also observes the sibling's: nothing is re-raised
+    assert loop.run_task(main()) == ("first in list", 20)
+
+
+def test_unawaited_task_error_is_raised_naming_the_task():
+    loop = SimLoop()
+
+    def child():
+        yield Sleep(1)
+        raise KeyError("lost")
+
+    def main():
+        loop.spawn(child(), name="orphan")
+        yield Sleep(5)
+        return "done"
+
+    with pytest.raises(RuntimeError, match="orphan") as info:
+        loop.run_task(main())
+    assert isinstance(info.value.__cause__, KeyError)
+
+
+def test_deadlock_is_chained_to_the_error_that_caused_it():
+    loop = SimLoop()
+    fut = Future()
+
+    def resolver():
+        yield Sleep(1)
+        raise KeyError("lost")
+
+    def main():
+        return (yield fut)
+
+    loop.spawn(resolver(), name="resolver")
+    with pytest.raises(RuntimeError, match="never completed") as info:
+        loop.run_task(main())
+    assert isinstance(info.value.__cause__, KeyError)
+

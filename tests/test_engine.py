@@ -267,6 +267,21 @@ class TestFailureModes:
             run_query(sim, plan, keys, memory_budget_bytes=1024)
         assert info.value.kind == "WorkerOutOfMemory"
 
+    def test_crash_in_second_generation_worker_is_not_lost(self, monkeypatch):
+        real = engine.run_fragment
+
+        def crash_in_w7(sim, ctx, *args):
+            if ctx.name == "w7":
+                raise KeyError("lost share")
+            return (yield from real(sim, ctx, *args))
+
+        monkeypatch.setattr(engine, "run_fragment", crash_in_w7)
+        sim, keys, _ = setup_data(rows=1600, files=16)
+        plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
+        with pytest.raises(RuntimeError, match="never completed") as info:
+            run_query(sim, plan, keys, strategy=invoke.TWO_LEVEL)
+        assert isinstance(info.value.__cause__, KeyError)
+
     def test_large_result_spills_to_object_store(self, monkeypatch):
         monkeypatch.setattr(engine, "QUEUE_PAYLOAD_CAP", 512)
         sim, keys, tables = setup_data(rows=600, files=2)

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambada_lab import invoke
-from lambada_lab.clock import US_PER_S
+from lambada_lab.clock import US_PER_MS, US_PER_S, Sleep
 from lambada_lab.config import SimConfig
-from lambada_lab.substrate import CloudSim
+from lambada_lab.substrate import CloudSim, FunctionSpec
 
 
 def run(sim, plan):
@@ -106,3 +107,60 @@ class TestRunPlan:
             return run(sim, invoke.build_plan(100, invoke.TWO_LEVEL)).to_csv()
 
         assert once() == once()
+
+
+class TestWorkerCrash:
+    @staticmethod
+    def _crash_in_w7(ctx, *_):
+        if ctx.name == "w7":
+            raise KeyError("lost share")
+        yield Sleep(0)
+
+    def test_crash_in_second_generation_worker_names_the_worker(self):
+        # w7 is started by a first-generation worker; the driver awaits only
+        # its start, never its task
+        sim = CloudSim(SimConfig())
+        plan = invoke.build_plan(16, invoke.TWO_LEVEL)
+        with pytest.raises(RuntimeError, match="w7") as info:
+            sim.loop.run_task(invoke.run_plan(sim, plan, fragment=self._crash_in_w7))
+        assert isinstance(info.value.__cause__, KeyError)
+
+    def test_crash_in_awaited_worker_reaches_the_driver(self):
+        sim = CloudSim(SimConfig())
+        plan = invoke.build_plan(16, invoke.DIRECT)
+        with pytest.raises(KeyError):
+            sim.loop.run_task(invoke.run_plan(sim, plan, fragment=self._crash_in_w7))
+
+
+class TestConcurrencyLimitedStart:
+    # One SHA-256 over everything a concurrency-limited run reports.  At 8
+    # running workers and P = 64, most workers queue for a free slot, so this
+    # pins the order and time at which queued workers start.
+    DIGEST = "7e987bbc252986dc59ea93b68c39caa79f3272c4b5bcb014d4730ff8dc55cbf5"
+
+    @staticmethod
+    def _fragment(ctx, *_):
+        yield from ctx.compute(3 * 10**7)
+        yield Sleep(5 * US_PER_MS)
+
+    def _digest(self, strategy):
+        sim = CloudSim(SimConfig(concurrency_limit=8))
+        report = sim.loop.run_task(
+            invoke.run_plan(
+                sim, invoke.build_plan(64, strategy), FunctionSpec(1024), self._fragment
+            )
+        )
+        assert sim.faas.peak_concurrency == 8
+        return "\n".join(
+            [
+                report.to_csv(),
+                repr(report.phase_breakdown()),
+                sim.ledger.to_csv(),
+                str(sim.loop.now),
+                str(sim.faas.peak_concurrency),
+            ]
+        )
+
+    def test_queued_start_order_is_pinned(self):
+        both = "\n".join(self._digest(s) for s in (invoke.DIRECT, invoke.TWO_LEVEL))
+        assert hashlib.sha256(both.encode()).hexdigest() == self.DIGEST
