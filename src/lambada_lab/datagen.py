@@ -33,13 +33,10 @@ class GenSpec:
     files: int = 32
     rows_per_group: int = 4096
     replication: int = 1
-    sort_column: str = "shipdate"
 
     def __post_init__(self):
         if self.files < 1 or self.replication < 1 or self.rows_per_group < 1:
             raise ValueError("files, replication and rows_per_group must be >= 1")
-        if self.sort_column not in COLUMNS:
-            raise ValueError(f"unknown sort column {self.sort_column}")
         if self.total_rows < self.files:
             raise ValueError("need at least one row per file")
 
@@ -68,7 +65,7 @@ def generate_tables(spec: GenSpec, seed: int) -> list[list[list[int]]]:
         "returnflag": [rng.randint(0, 2) for _ in range(n)],
         "linestatus": [rng.randint(0, 1) for _ in range(n)],
     }
-    order = sorted(range(n), key=columns[spec.sort_column].__getitem__)
+    order = sorted(range(n), key=columns["shipdate"].__getitem__)
     columns = {name: [vals[i] for i in order] for name, vals in columns.items()}
     base, extra = divmod(n, spec.files)
     tables = []

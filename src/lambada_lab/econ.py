@@ -29,7 +29,6 @@ class ResourceProfile:
     startup_s: Fraction
     scan_mib_per_s: Fraction  # per unit
     unit_usd_per_s: Fraction
-    max_units: int = 10_000
 
     def __post_init__(self):
         if self.kind not in (VM, FAAS):

@@ -109,22 +109,13 @@ SERVERLESS = "serverless"
 DRIVER = "driver"
 
 
-def build_plan_from_pipeline(
-    filter_intervals,
-    group_keys,
-    aggregates,
-    associative: bool = True,
-):
+def build_plan_from_pipeline(filter_intervals, group_keys, aggregates):
     """Build a scoped plan for filter -> group -> aggregate pipelines.
 
     `filter_intervals`: [(column, lo, hi)] conjunction, pushed into the scan.
     `group_keys`: column names (may be empty for a global aggregate).
     `aggregates`: [("sum", expr) | ("count", None)].
     """
-    if not associative:
-        raise errors.NonAssociativeReduce(
-            "only associative+commutative reductions can be split across workers"
-        )
     used: set[str] = set(group_keys)
     for kind, expr in aggregates:
         if kind not in ("sum", "count"):

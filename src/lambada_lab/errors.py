@@ -57,10 +57,6 @@ class UnknownColumn(SimError):
     pass
 
 
-class NonAssociativeReduce(SimError):
-    pass
-
-
 class WorkerError(SimError):
     def __init__(self, worker_id: int, kind: str, message: str):
         super().__init__(f"worker {worker_id} failed: {kind}: {message}")

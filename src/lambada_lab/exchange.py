@@ -146,22 +146,9 @@ def decode_records(data: bytes) -> list[tuple[int, bytes]]:
 class PhaseTrace:
     worker: int
     level: int
-    partition_us: int
     write_us: int
     wait_us: int
     read_us: int
-
-
-TRACE_CSV_HEADER = "worker,level,partition_us,write_us,wait_us,read_us"
-
-
-def trace_to_csv(rows: list[PhaseTrace]) -> str:
-    lines = [TRACE_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.worker},{r.level},{r.partition_us},{r.write_us},{r.wait_us},{r.read_us}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 class _ExchangeRun:
@@ -203,16 +190,14 @@ class _ExchangeRun:
             )
             payload = payloads[p]
             for level in range(self.cfg.levels):
-                t0 = sim.loop.now
                 data, offsets = split(p, level, payload)
-                t1 = sim.loop.now
+                t0 = sim.loop.now
                 yield from self.send_level(ctx, p, level, data, offsets)
-                t2 = sim.loop.now
+                t1 = sim.loop.now
                 inbound, wait_us = yield from self.receive_level(ctx, p, level)
-                t3 = sim.loop.now
                 payload = merge(inbound)
                 self.trace.append(
-                    PhaseTrace(p, level, t1 - t0, t2 - t1, wait_us, t3 - t2 - wait_us)
+                    PhaseTrace(p, level, t1 - t0, wait_us, sim.loop.now - t1 - wait_us)
                 )
             finals[p] = payload
 
@@ -400,8 +385,7 @@ def exchange_cost(P: int, variant: str, prices) -> CostModelRow:
     """Closed-form request counts and bill for one exchange variant.
 
     Write-combined variants assume offsets-in-name, which needs one listing
-    per receiver per round; a solo worker knows its own file and lists
-    nothing.
+    per receiver per round, a solo worker's included.
 
     The model matches the simulation exactly only for one bucket and a full
     grid (P == s**k).  Sharded over several buckets, a write-combined
@@ -419,7 +403,7 @@ def exchange_cost(P: int, variant: str, prices) -> CostModelRow:
     s = P if k == 1 else ceil_root(P, k)
     reads = k * P * s
     writes = k * P if combined else k * P * s
-    lists = k * P if combined and P > 1 else 0
+    lists = k * P if combined else 0
     usd = (
         reads * prices.request_price(READ)
         + writes * prices.request_price(WRITE)
@@ -440,10 +424,3 @@ def exchange_worker_cost(
     per_worker_bytes = Fraction(total_bytes, P)
     seconds = 2 * levels * per_worker_bytes / (mib_per_s * 1024 * 1024)
     return P * seconds * prices.worker_rate(memory_mib)
-
-
-def per_bucket_rate(P: int, s: int, B: int) -> Fraction:
-    """Peak requests/s/bucket estimate for one round (pre-flight check)."""
-    if B < 1:
-        raise ValueError("B must be >= 1")
-    return Fraction(P * s, B)

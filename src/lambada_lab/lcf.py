@@ -136,24 +136,13 @@ def decode_chunk(meta: ColumnChunkMeta, data: bytes, typ: int, row_count: int) -
     raise errors.CorruptChunk(f"unknown encoding id {meta.encoding}")
 
 
-class EncodingPolicy:
-    """Picks an encoding per chunk.  `rle_columns` lists column names that
-    should use run-length encoding; everything else is plain."""
-
-    def __init__(self, rle_columns: tuple[str, ...] = ()):
-        self.rle_columns = set(rle_columns)
-
-    def encoding_for(self, name: str) -> int:
-        return ENC_RLE if name in self.rle_columns else ENC_PLAIN
-
-
-def write_file(schema: Schema, row_groups, policy: EncodingPolicy | None = None) -> bytes:
+def write_file(schema: Schema, row_groups, rle_columns=()) -> bytes:
     """Serialize column-major row groups into one LCF byte string.
 
     `row_groups` is a list of tables; each table is a list of per-column value
-    lists in schema order.
+    lists in schema order.  Columns named in `rle_columns` are run-length
+    encoded; all others are plain.
     """
-    policy = policy or EncodingPolicy()
     body = bytearray()
     metas = []
     for table in row_groups:
@@ -172,7 +161,7 @@ def write_file(schema: Schema, row_groups, policy: EncodingPolicy | None = None)
             if not all(isinstance(v, want) for v in values):
                 for v in values:
                     _check_value(v, typ)
-            encoding = policy.encoding_for(name)
+            encoding = ENC_RLE if name in rle_columns else ENC_PLAIN
             encoded = encode_chunk(values, typ, encoding)
             chunks.append(
                 ColumnChunkMeta(
@@ -290,7 +279,7 @@ def read_footer_ranged(sim, ctx, bucket: str, key: str):
     """Read a footer through the object store using the tail window.
 
     Issues exactly one suffix-range GET for footers smaller than the window
-    and one extra GET otherwise.  Returns (footer, file_size, requests).
+    and one extra GET otherwise.  Returns (footer, requests).
     """
     tail = yield from sim.store.get_object(
         ctx, bucket, key, (-FOOTER_TAIL_WINDOW, None)
@@ -308,7 +297,7 @@ def read_footer_ranged(sim, ctx, bucket: str, key: str):
         )
         raw = bytes(raw)
         requests += 1
-    return decode_footer(raw), size, requests
+    return decode_footer(raw), requests
 
 
 def read_table(data: bytes) -> list[list]:

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import lcf
-from .billing import READ
 from .clock import Future
 
 MIN_CHUNK_SIZE = 64 * 1024
@@ -138,8 +136,6 @@ class ScanReport:
     groups_read: int = 0
     groups_pruned: int = 0
     duration_us: int = 0
-    request_usd: Fraction = Fraction(0)
-    worker_usd: Fraction = Fraction(0)
 
 
 class _Gate:
@@ -184,11 +180,9 @@ def execute_scan(
     gate = _Gate(config.max_connections)
 
     # level 4: footers travel on their own logical connection
-    def fetch_footer(path):
-        footer, _size, requests = yield from lcf.read_footer_ranged(sim, ctx, bucket, path)
-        return footer, requests
-
-    footer_tasks = {path: sim.loop.spawn(fetch_footer(path)) for path in paths}
+    footer_tasks = {
+        path: sim.loop.spawn(lcf.read_footer_ranged(sim, ctx, bucket, path)) for path in paths
+    }
 
     fetch_cols = list(predicates.projection)
     for name, _, _ in predicates.intervals:
@@ -273,10 +267,4 @@ def execute_scan(
             batches.append(batch)
 
     report.duration_us = sim.loop.now - start_us
-    report.request_usd = report.requests * sim.prices.request_price(READ)
-    if ctx.spec is not None:
-        report.worker_usd = (
-            sim.prices.worker_rate(ctx.spec.memory_mib)
-            * Fraction(report.duration_us, 1_000_000)
-        )
     return batches, report

@@ -114,7 +114,6 @@ class Nic:
         self.shaping = shaping
         self.tokens: Fraction = shaping.credit_cap
         self.free_at: int = 0
-        self.total_bytes = 0
 
     def reserve(self, nbytes: int, ready_us: int) -> int:
         """Reserve the pipe for `nbytes`; returns the virtual finish time."""
@@ -132,7 +131,6 @@ class Nic:
             rest_us = (nbytes - sh.burst_rate * burst_us) / sh.steady
             finish = start + math.ceil(burst_us + rest_us)
         self.free_at = finish
-        self.total_bytes += nbytes
         return finish
 
 
@@ -180,7 +178,6 @@ class RateLimiter:
     def __init__(self, limit_per_second: int):
         self.limit_per_second = limit_per_second
         self._window: deque[int] = deque()
-        self.admissions: list[int] = []
 
     def try_admit(self, now_us: int) -> bool:
         cutoff = now_us - US_PER_S
@@ -189,19 +186,7 @@ class RateLimiter:
         if len(self._window) >= self.limit_per_second:
             return False
         self._window.append(now_us)
-        self.admissions.append(now_us)
         return True
-
-    def max_window_admissions(self) -> int:
-        """Largest number of admissions in any 1-second window (for checks)."""
-        best = 0
-        times = self.admissions
-        lo = 0
-        for hi in range(len(times)):
-            while times[hi] - times[lo] >= US_PER_S:
-                lo += 1
-            best = max(best, hi - lo + 1)
-        return best
 
 
 class Bucket:
@@ -249,8 +234,9 @@ class ObjectStore:
         b.notify_put(key)
 
     def _check_key(self, key: str) -> None:
-        if len(key.encode("utf-8")) > self.sim.cfg.max_key_bytes:
-            raise errors.KeyTooLong(f"key is {len(key)} bytes, limit is {self.sim.cfg.max_key_bytes}")
+        size = len(key.encode("utf-8"))
+        if size > self.sim.cfg.max_key_bytes:
+            raise errors.KeyTooLong(f"key is {size} bytes, limit is {self.sim.cfg.max_key_bytes}")
 
     def _request(self, ctx: HostContext, b: Bucket, category: str) -> Generator:
         """Admit, bill and open one request: the path every store call takes.
@@ -424,7 +410,7 @@ class FaaSService:
         self.sim = sim
         self.running = 0
         self._pending: deque[Task] = deque()  # admitted, waiting for a free slot
-        self._warm: set[str] = set()
+        self._warm = False  # the first invocation starts cold
         self.peak_concurrency = 0
 
     def invoke(
@@ -433,7 +419,6 @@ class FaaSService:
         spec: FunctionSpec,
         payload: bytes,
         handler: Callable[[HostContext, bytes], Generator],
-        function_name: str = "worker",
         worker_name: str = "",
     ) -> Generator:
         """Issue one invocation from `ctx`; returns an InvocationHandle.
@@ -453,12 +438,11 @@ class FaaSService:
             yield Sleep(slot - now)
         initiated_at = self.sim.loop.now
 
-        cold = function_name not in self._warm
-        self._warm.add(function_name)
-        perf = COLD_START_PENALTY_FACTOR if cold else Fraction(1)
+        perf = Fraction(1) if self._warm else COLD_START_PENALTY_FACTOR
+        self._warm = True
         worker_ctx = HostContext(
             self.sim,
-            worker_name or f"{function_name}-{initiated_at}",
+            worker_name or f"worker-{initiated_at}",
             spec=spec,
             invoke_rate_per_s=cfg.worker_invoke_rate_per_s,
             perf_factor=perf,

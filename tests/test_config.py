@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -79,3 +81,42 @@ def test_explicit_path_beats_env(tmp_path, monkeypatch):
     b.write_text("queue_poll_latency_ms = 2\n")
     monkeypatch.setenv(ENV_CONFIG_VAR, str(a))
     assert load_config(str(b)).queue_poll_latency_ms == 2
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "lambada_lab"
+CONFIG_CLASSES = {
+    "SimConfig",
+    "ScanConfig",
+    "ExchangeConfig",
+    "FunctionSpec",
+    "GenSpec",
+    "ResourceProfile",
+    "QaaSPricing",
+    "InstancePreset",
+}
+
+
+def _attribute_reads(node, found: set) -> None:
+    """Names read as `x.name`, skipping the bodies of ``__post_init__``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef) and child.name == "__post_init__":
+            continue
+        if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            found.add(child.attr)
+        _attribute_reads(child, found)
+
+
+def test_every_config_field_is_read():
+    """A config field that only its validation reads is an option nothing enforces."""
+    fields, reads = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        _attribute_reads(tree, reads)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name in CONFIG_CLASSES:
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        fields[f"{node.name}.{stmt.target.id}"] = stmt.target.id
+    assert set(name.split(".")[0] for name in fields) == CONFIG_CLASSES
+    unread = sorted(name for name, attr in fields.items() if attr not in reads)
+    assert unread == []

@@ -83,5 +83,3 @@ def test_percentile_value():
 def test_spec_validation():
     with pytest.raises(ValueError):
         datagen.GenSpec(scale_bytes=56, files=10)  # fewer rows than files
-    with pytest.raises(ValueError):
-        datagen.GenSpec(sort_column="nope")

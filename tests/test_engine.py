@@ -46,10 +46,6 @@ class TestPlanBuilding:
         assert plan[0]["projection"] == ["quantity"]
         assert plan[0]["intervals"] == []
 
-    def test_non_associative_reduce_rejected(self):
-        with pytest.raises(errors.NonAssociativeReduce):
-            engine.build_plan_from_pipeline([], (), [("sum", None)], associative=False)
-
     def test_plan_is_json_serializable(self):
         plan = engine.q1_plan(1000)
         assert json.loads(json.dumps(plan)) == plan

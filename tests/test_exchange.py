@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -298,13 +299,11 @@ class TestCostModel:
         )
         assert abs(float(usd) - 3.3) / 3.3 < 0.05
 
-    def test_per_bucket_rate(self):
-        assert exchange.per_bucket_rate(10_000, 100, 300) == Fraction(10_000 * 100, 300)
-        assert exchange.per_bucket_rate(64, 8, 1) == 512
-
     def test_simulated_counts_match_closed_forms(self):
-        # the model's domain: one bucket and a full grid
-        for P, variant in [(16, "2l"), (16, "2l-wc"), (27, "3l"), (27, "3l-wc")]:
+        # the model's domain: one bucket and a full grid; a solo worker
+        # lists its bucket each round like any other receiver
+        cases = [(16, "2l"), (16, "2l-wc"), (27, "3l"), (27, "3l-wc"), (1, "1l-wc"), (1, "2l-wc")]
+        for P, variant in cases:
             sim = fresh_sim()
             cfg = exchange.ExchangeConfig(
                 levels=int(variant[0]),
@@ -353,18 +352,16 @@ class TestOffsetsInNameKeys:
 
 
 class TestBucketSharding:
-    def test_sharding_spreads_peak_bucket_rate(self):
+    def test_sharding_spreads_peak_bucket_rate(self, admission_log):
         def peak(B):
             sim = fresh_sim()
             cfg = exchange.ExchangeConfig(levels=1, num_buckets=B)
             run(sim, make_inputs(64, 64), cfg)
             return max(
-                max(
-                    b.read_limiter.max_window_admissions(),
-                    b.write_limiter.max_window_admissions(),
-                )
+                admission_log.peak(limiter)
                 for name, b in sim.store.buckets.items()
                 if name.startswith("xchg-")
+                for limiter in (b.read_limiter, b.write_limiter)
             )
 
         assert peak(1) >= 4 * peak(8)
@@ -372,10 +369,32 @@ class TestBucketSharding:
     def test_trace_csv_shape(self):
         sim = fresh_sim()
         _, trace = run(sim, make_inputs(4, 8), exchange.ExchangeConfig(levels=2))
-        csv = exchange.trace_to_csv(trace)
-        lines = csv.strip().split("\n")
-        assert lines[0] == exchange.TRACE_CSV_HEADER
-        assert len(lines) == 1 + 4 * 2
+        assert sorted((t.worker, t.level) for t in trace) == [
+            (p, level) for p in range(4) for level in range(2)
+        ]
+
+
+class TestPhaseTrace:
+    # SHA-256 over every phase row of P=16 two-level runs in each
+    # write-combining mode over 1 and 3 buckets; pins the trace's stamps
+    TRACE_SHA256 = "9c4023f4c842bec10de5197697fd5aa6c84c4f778826d3a59e2400782288866a"
+
+    def test_phase_rows_are_pinned(self):
+        rows = []
+        for mode in exchange._WC_MODES:
+            for buckets in (1, 3):
+                sim = fresh_sim()
+                cfg = exchange.ExchangeConfig(
+                    levels=2, write_combining=mode, num_buckets=buckets
+                )
+                _, trace = run(sim, make_inputs(16, 64), cfg)
+                rows += [
+                    (mode, buckets, t.worker, t.level, t.write_us, t.wait_us, t.read_us)
+                    for t in trace
+                ]
+        assert len(rows) == 3 * 2 * 16 * 2
+        digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+        assert digest == self.TRACE_SHA256
 
 
 class TestPollMode:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambada_lab import errors, lcf, scan
+from lambada_lab.billing import READ
 from lambada_lab.clock import AllOf
 from lambada_lab.config import SimConfig
 from lambada_lab.substrate import CloudSim
@@ -170,11 +171,10 @@ class TestExecute:
         groups = [[[i, i + 1], [i, i]] for i in range(0, 12, 2)]
         data, _ = make_file(groups)
         sim = seeded_sim({"f.lcf": data})
-        before = sim.ledger.request_usd
+        before = sim.ledger.count(READ)
         preds = scan.PredicateSet((("a", 0, 100),), ("a", "b"))
         _, report = run_scan(sim, ["f.lcf"], preds)
-        assert sim.ledger.request_usd - before == report.request_usd
-        assert report.worker_usd == 0  # driver context is not billed
+        assert sim.ledger.count(READ) - before == report.requests
 
     def test_concurrent_scans_bill_only_their_own_requests(self):
         data, _ = make_file([[[1, 2], [3, 4]]])
@@ -189,9 +189,9 @@ class TestExecute:
             return (yield AllOf(tasks))
 
         reports = [report for _, report in sim.loop.run_task(main())]
-        # one footer GET and two column-chunk GETs at $0.4/M, as when run alone
-        assert [r.request_usd for r in reports] == [Fraction(3, 2_500_000)] * 2
-        assert sum(r.request_usd for r in reports) == sim.ledger.request_usd
+        # one footer GET and two column-chunk GETs each, as when run alone
+        assert [r.requests for r in reports] == [3, 3]
+        assert sum(r.requests for r in reports) == sim.ledger.count(READ)
 
     def test_thousand_chunk_request_cost(self):
         # 64 MiB single plain chunk of zeros scanned at the 64 KiB floor:
