@@ -190,9 +190,7 @@ def bench_econ(cfg: SimConfig, args, outdir: Path) -> list[str]:
         lines.extend(econ.curve_to_csv(profile.kind, curve))
     _write(outdir, "econ-curves.csv", lines)
     per_query_faas = econ.min_cost(args.data_bytes, econ.FAAS_PROFILE, units)
-    per_query_qaas = econ.qaas_query_cost(
-        [args.data_bytes], 1, econ.QaaSPricing()
-    )
+    per_query_qaas = econ.qaas_query_cost([args.data_bytes], econ.QaaSPricing())
     rows = ["preset,hourly_usd,crossover_vs_faas_per_hr,crossover_vs_qaas_per_hr"]
     for preset in econ.ALWAYS_ON_PRESETS:
         hourly = econ.preset_hourly_usd(preset)

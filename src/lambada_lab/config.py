@@ -16,7 +16,6 @@ from .errors import ConfigError
 ENV_CONFIG_VAR = "LAMBADA_LAB_CONFIG"
 
 MIB = 1 << 20
-GIB = 1 << 30
 
 # Invocation characteristics per region: single-call latency [ms],
 # driver-side aggregate rate [inv/s], worker-side intra-region rate [inv/s].
@@ -71,8 +70,6 @@ class SimConfig:
 
     # Object-store semantics.
     max_key_bytes: int = 1024
-    notfound_poll_backoff_ms: int = 50
-    notfound_poll_budget: int = 600
 
     # Message queue.
     queue_poll_latency_ms: int = 10

@@ -19,9 +19,6 @@ MIB = 1024**2
 VM = "vm"
 FAAS = "faas"
 
-FULL_COLUMNS = "full_columns"
-SELECTED_ROWS = "selected_rows_of_columns"
-
 
 @dataclass(frozen=True)
 class ResourceProfile:
@@ -100,23 +97,11 @@ def always_on_crossover(vm_hourly_usd: Fraction, per_query_usd: Fraction) -> Fra
 @dataclass(frozen=True)
 class QaaSPricing:
     usd_per_tib_scanned: Fraction = Fraction(5)
-    rule: str = FULL_COLUMNS
-
-    def __post_init__(self):
-        if self.rule not in (FULL_COLUMNS, SELECTED_ROWS):
-            raise ValueError(f"unknown counting rule {self.rule}")
 
 
-def qaas_query_cost(
-    bytes_per_used_column, selectivity, pricing: QaaSPricing
-) -> Fraction:
-    """Bill for scanning the used columns under the pricing's counting rule."""
-    if not 0 <= selectivity <= 1:
-        raise ValueError("selectivity must be in [0, 1]")
-    total = sum(bytes_per_used_column)
-    if pricing.rule == SELECTED_ROWS:
-        total = Fraction(total) * Fraction(selectivity)
-    return Fraction(total) * pricing.usd_per_tib_scanned / TIB
+def qaas_query_cost(bytes_per_used_column, pricing: QaaSPricing) -> Fraction:
+    """Bill for scanning the used columns in full, whatever the filter keeps."""
+    return Fraction(sum(bytes_per_used_column)) * pricing.usd_per_tib_scanned / TIB
 
 
 @dataclass(frozen=True)

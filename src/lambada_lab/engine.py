@@ -160,7 +160,7 @@ def _plan_op(plan, name):
 
 # ------------------------------------------------------------------- fragment
 
-def run_fragment(sim, ctx, bucket, paths, plan, memory_budget_bytes=None):
+def run_fragment(sim, ctx, bucket, paths, plan):
     """Execute the serverless scope over one worker's files."""
     scan_op = _plan_op(plan, "scan")
     agg_op = _plan_op(plan, "partial_agg")
@@ -168,16 +168,13 @@ def run_fragment(sim, ctx, bucket, paths, plan, memory_budget_bytes=None):
         tuple((n, lo, hi) for n, lo, hi in scan_op["intervals"]),
         tuple(scan_op["projection"]),
     )
-    if memory_budget_bytes is None and ctx.spec is not None:
-        memory_budget_bytes = int(MEMORY_HEADROOM * ctx.spec.memory_mib * MIB)
     batches, report = yield from execute_scan(
         sim, ctx, bucket, paths, predicates, ScanConfig()
     )
     held_bytes = sum(8 * len(col) for batch in batches for col in batch)
-    if memory_budget_bytes is not None and held_bytes > memory_budget_bytes:
-        raise errors.WorkerOutOfMemory(
-            f"fragment holds {held_bytes} bytes, budget {memory_budget_bytes}"
-        )
+    budget = int(MEMORY_HEADROOM * ctx.spec.memory_mib * MIB)
+    if held_bytes > budget:
+        raise errors.WorkerOutOfMemory(f"fragment holds {held_bytes} bytes, budget {budget}")
     index = {name: j for j, name in enumerate(scan_op["projection"])}
     key_cols = [index[k] for k in agg_op["keys"]]
     columns = [
@@ -271,7 +268,6 @@ def execute(
     spec: FunctionSpec | None = None,
     strategy: str = invoke.DIRECT,
     bucket: str = "data",
-    memory_budget_bytes=None,
 ):
     """Run a plan over `paths`; returns (rows, QueryReport) via run_task."""
     spec = spec or FunctionSpec()
@@ -284,9 +280,7 @@ def execute(
 
     def fragment(ctx, wid, data):
         try:
-            partial, _report = yield from run_fragment(
-                sim, ctx, bucket, data["paths"], plan, memory_budget_bytes
-            )
+            partial, _report = yield from run_fragment(sim, ctx, bucket, data["paths"], plan)
             body = json.dumps({"worker": wid, "status": "ok", "partial": partial})
             if len(body) > QUEUE_PAYLOAD_CAP:
                 key = f"w{wid}"

@@ -4,8 +4,8 @@ Workers repartition records by writing files into shared buckets and reading
 the files addressed to them; no worker-to-worker connections exist.  A k-level
 variant views worker ids as k base-s digits and exchanges one digit per round,
 trading extra data scans for far fewer requests.  Write combining packs all of
-a sender's partitions into one object per round, with slice offsets either in
-a companion object or encoded into the key name.
+a sender's partitions into one object per round, with the slice offsets
+encoded into the key name; receivers find those keys with a LIST.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ from .clock import AllOf, Sleep, US_PER_MS
 from .substrate import HostContext, ZeroBlob
 
 WC_OFF = "off"
-WC_OFFSETS_FILE = "offsets_file"
 WC_OFFSETS_IN_NAME = "offsets_in_name"
-_WC_MODES = (WC_OFF, WC_OFFSETS_FILE, WC_OFFSETS_IN_NAME)
+_WC_MODES = (WC_OFF, WC_OFFSETS_IN_NAME)
 
 # how often a receiver re-checks whether a bucket's offsets-in-name files of a
 # round are all written (a free existence poll)
@@ -75,7 +74,6 @@ class ExchangeConfig:
     write_combining: str = WC_OFF
     num_buckets: int = 1
     bucket_prefix: str = "xchg"
-    poll: bool = False  # bill NotFound probes instead of subscribing
 
     def __post_init__(self):
         if self.levels not in (1, 2, 3):
@@ -84,8 +82,6 @@ class ExchangeConfig:
             raise ValueError(f"write_combining must be one of {_WC_MODES}")
         if self.num_buckets < 1:
             raise ValueError("need at least one bucket")
-        if self.poll and self.write_combining == WC_OFFSETS_IN_NAME:
-            raise ValueError("offsets_in_name discovers keys by listing; poll does not apply")
 
 
 class NamingScheme:
@@ -103,12 +99,6 @@ class NamingScheme:
 
     def plain_key(self, level: int, sender: int, receiver: int) -> str:
         return f"l{level}/s{sender}/r{receiver}"
-
-    def combined_key(self, level: int, sender: int) -> str:
-        return f"l{level}/s{sender}"
-
-    def offsets_key(self, level: int, sender: int) -> str:
-        return f"l{level}/s{sender}-off"
 
     def in_name_key(self, level: int, sender: int, offsets: list[int]) -> str:
         return f"l{level}/s{sender}-" + "_".join(str(o) for o in offsets) + "-off"
@@ -221,18 +211,9 @@ class _ExchangeRun:
                 yield from store.put_object(ctx, naming.bucket(target), key, blob)
             return
         bucket = naming.bucket(p)
-        if cfg.write_combining == WC_OFFSETS_IN_NAME:
-            key = naming.in_name_key(level, p, offsets)
-            yield from store.put_object(ctx, bucket, key, data)
-            self.written[level, bucket] += 1
-        else:
-            yield from store.put_object(ctx, bucket, naming.combined_key(level, p), data)
-            yield from store.put_object(
-                ctx,
-                bucket,
-                naming.offsets_key(level, p),
-                struct.pack(f"<{len(offsets)}Q", *offsets),
-            )
+        key = naming.in_name_key(level, p, offsets)
+        yield from store.put_object(ctx, bucket, key, data)
+        self.written[level, bucket] += 1
 
     def receive_level(self, ctx, p: int, level: int):
         """Wait for and read this worker's inbound payloads; returns blobs.
@@ -241,38 +222,16 @@ class _ExchangeRun:
         """
         cfg, naming, sim = self.cfg, self.naming, self.sim
         my_senders = self.senders[level][p]
-        wait_us = 0
         blobs = []
         if cfg.write_combining == WC_OFF:
-            keys = [
-                (naming.bucket(p), naming.plain_key(level, q, p)) for q, _ in my_senders
-            ]
-            if not cfg.poll:
-                t0 = sim.loop.now
-                for bucket, key in keys:
-                    yield from sim.store.wait_for_object(bucket, key)
-                wait_us = sim.loop.now - t0
-            for bucket, key in keys:
-                blob = yield from sim.store.get_object_when_ready(
-                    ctx, bucket, key, poll=cfg.poll
-                )
-                blobs.append(blob)
-            return blobs, wait_us
-        if cfg.write_combining == WC_OFFSETS_FILE:
-            for q, c in my_senders:
-                bucket, key = naming.bucket(q), naming.offsets_key(level, q)
-                t0 = sim.loop.now
-                if not cfg.poll:
-                    yield from sim.store.wait_for_object(bucket, key)
-                wait_us += sim.loop.now - t0
-                raw = yield from sim.store.get_object_when_ready(
-                    ctx, bucket, key, poll=cfg.poll
-                )
-                offsets = struct.unpack(f"<{len(raw) // 8}Q", bytes(raw))
-                blob = yield from sim.store.get_object(
-                    ctx, bucket, naming.combined_key(level, q), (offsets[c], offsets[c + 1])
-                )
-                blobs.append(blob)
+            bucket = naming.bucket(p)
+            keys = [naming.plain_key(level, q, p) for q, _ in my_senders]
+            t0 = sim.loop.now
+            for key in keys:
+                yield from sim.store.wait_for_object(bucket, key)
+            wait_us = sim.loop.now - t0
+            for key in keys:
+                blobs.append((yield from sim.store.get_object(ctx, bucket, key)))
             return blobs, wait_us
         # offsets in name: wait until every sender sharing a bucket with one
         # of ours has written, list the bucket, then issue ranged reads; the
@@ -385,14 +344,13 @@ def exchange_cost(P: int, variant: str, prices) -> CostModelRow:
     """Closed-form request counts and bill for one exchange variant.
 
     Write-combined variants assume offsets-in-name, which needs one listing
-    per receiver per round, a solo worker's included.
+    per receiver per round, a solo worker's included.  With ragged P
+    (P != s**k) a provably empty digit class is never shipped or read, so
+    only the (sender, digit class) pairs that `route` maps somewhere count.
 
-    The model matches the simulation exactly only for one bucket and a full
-    grid (P == s**k).  Sharded over several buckets, a write-combined
-    receiver lists every bucket that holds one of its senders' files, so
-    the simulation issues more LISTs; with ragged P it never ships or reads
-    a provably empty digit class, so it issues fewer GETs (and, without
-    write combining, fewer PUTs).
+    The model matches the simulation exactly for one bucket.  Sharded over
+    several buckets, a write-combined receiver lists every bucket that
+    holds one of its senders' files, so the simulation issues more LISTs.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
@@ -401,8 +359,16 @@ def exchange_cost(P: int, variant: str, prices) -> CostModelRow:
     k = int(variant[0])
     combined = variant.endswith("-wc")
     s = P if k == 1 else ceil_root(P, k)
-    reads = k * P * s
-    writes = k * P if combined else k * P * s
+    if P == s**k:
+        reads = k * P * s
+    else:
+        reads = sum(
+            route(q, level, c, s, P) is not None
+            for level in range(k)
+            for q in range(P)
+            for c in range(s)
+        )
+    writes = k * P if combined else reads
     lists = k * P if combined else 0
     usd = (
         reads * prices.request_price(READ)

@@ -323,34 +323,6 @@ class ObjectStore:
             return
         yield b.waiter(key)
 
-    def get_object_when_ready(
-        self,
-        ctx: HostContext,
-        bucket: str,
-        key: str,
-        byte_range: tuple[int, int | None] | None = None,
-        poll: bool = False,
-    ) -> Generator:
-        """Read an object that a slower peer may not have written yet.
-
-        With ``poll=True`` every failed probe is a billed NotFound GET with
-        backoff, up to the configured budget.  The default waits on the
-        simulation's existence notification and issues exactly one GET,
-        keeping request counts equal to the analytic cost models.
-        """
-        if not poll:
-            yield from self.wait_for_object(bucket, key)
-            return (yield from self.get_object(ctx, bucket, key, byte_range))
-        cfg = self.sim.cfg
-        for attempt in range(cfg.notfound_poll_budget):
-            try:
-                return (yield from self.get_object(ctx, bucket, key, byte_range))
-            except errors.NotFound:
-                yield Sleep(cfg.notfound_poll_backoff_ms * US_PER_MS)
-        raise errors.NotFound(
-            f"{bucket}/{key} still missing after {cfg.notfound_poll_budget} polls"
-        )
-
 
 class MessageQueue:
     """FIFO queue with virtual poll latency (result-queue style)."""

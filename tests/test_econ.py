@@ -85,31 +85,7 @@ class TestAlwaysOn:
 
 
 class TestQaaS:
-    def test_full_columns_ignores_selectivity(self):
+    def test_full_columns_price(self):
         pricing = econ.QaaSPricing()
-        assert econ.qaas_query_cost([econ.TIB], 0.02, pricing) == 5
-        assert econ.qaas_query_cost([econ.TIB], 1.0, pricing) == 5
-
-    def test_selected_rows_scales_by_selectivity(self):
-        full = econ.QaaSPricing()
-        rows = econ.QaaSPricing(rule=econ.SELECTED_ROWS)
-        cols = [econ.TIB, econ.TIB // 2]
-        assert econ.qaas_query_cost(cols, Fraction(2, 100), rows) == Fraction(
-            2, 100
-        ) * econ.qaas_query_cost(cols, Fraction(2, 100), full)
-
-    def test_rules_coincide_at_full_selectivity(self):
-        cols = [123456789]
-        assert econ.qaas_query_cost(
-            cols, 1, econ.QaaSPricing()
-        ) == econ.qaas_query_cost(cols, 1, econ.QaaSPricing(rule=econ.SELECTED_ROWS))
-
-    def test_all_filtered_query_is_free_under_row_counting(self):
-        assert (
-            econ.qaas_query_cost([econ.TIB], 0, econ.QaaSPricing(rule=econ.SELECTED_ROWS))
-            == 0
-        )
-
-    def test_selectivity_bounds(self):
-        with pytest.raises(ValueError):
-            econ.qaas_query_cost([1], 1.5, econ.QaaSPricing())
+        assert econ.qaas_query_cost([econ.TIB], pricing) == 5
+        assert econ.qaas_query_cost([econ.TIB, econ.TIB // 2], pricing) == Fraction(15, 2)

@@ -1,11 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lambada_lab import datagen, engine, errors, invoke, lcf
-from lambada_lab.config import SimConfig
+from lambada_lab.config import MIB, SimConfig
 from lambada_lab.substrate import CloudSim, FunctionSpec
 
 
@@ -256,11 +257,15 @@ class TestFailureModes:
         assert info.value.worker_id == 1
         assert info.value.kind == "BadMagic"
 
-    def test_oom_budget_enforced(self):
+    def test_oom_budget_enforced(self, monkeypatch):
+        # a 1 KiB budget for the default worker size
+        monkeypatch.setattr(
+            engine, "MEMORY_HEADROOM", Fraction(1024, FunctionSpec().memory_mib * MIB)
+        )
         sim, keys, _ = setup_data(rows=1000, files=2)
         plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
         with pytest.raises(errors.WorkerError) as info:
-            run_query(sim, plan, keys, memory_budget_bytes=1024)
+            run_query(sim, plan, keys)
         assert info.value.kind == "WorkerOutOfMemory"
 
     def test_crash_in_second_generation_worker_is_not_lost(self, monkeypatch):

@@ -173,7 +173,7 @@ class TestMultiLevel:
 
 
 class TestWriteCombining:
-    @pytest.mark.parametrize("mode", [exchange.WC_OFFSETS_FILE, exchange.WC_OFFSETS_IN_NAME])
+    @pytest.mark.parametrize("mode", [exchange.WC_OFFSETS_IN_NAME])
     def test_oracle_equivalence(self, mode):
         P = 9
         sim = fresh_sim()
@@ -208,15 +208,6 @@ class TestWriteCombining:
         )
         second, _ = run(sim, {0: [(1, b"z" * 90)], 1: []}, other)
         assert second == {0: [], 1: [(1, b"z" * 90)]}
-
-    def test_offsets_file_doubles_reads(self):
-        P = 16
-        sim = fresh_sim()
-        cfg = exchange.ExchangeConfig(levels=2, write_combining=exchange.WC_OFFSETS_FILE)
-        run(sim, make_inputs(P, 64), cfg)
-        assert sim.ledger.count(WRITE) == 2 * 2 * P  # data + offsets objects
-        assert sim.ledger.count(READ) == 2 * (2 * P * 4)
-        assert sim.ledger.count(LIST) == 0
 
     def test_empty_partition_boundary_offsets(self):
         # worker 0 keeps everything; others ship empty slices
@@ -257,6 +248,10 @@ class TestWriteCombining:
         )
         receivers = [t for t in trace if t.worker != slow]
         assert receivers and all(t.wait_us > 0 for t in receivers)
+        # waiting is free: still one GET per inbound file
+        variant = "1l-wc" if mode == exchange.WC_OFFSETS_IN_NAME else "1l"
+        row = exchange.exchange_cost(P, variant, sim.prices)
+        assert (sim.ledger.count(READ), sim.ledger.count(WRITE)) == (row.reads, row.writes)
 
     def test_in_name_key_round_trip(self):
         naming = exchange.NamingScheme("xchg", 1)
@@ -300,9 +295,10 @@ class TestCostModel:
         assert abs(float(usd) - 3.3) / 3.3 < 0.05
 
     def test_simulated_counts_match_closed_forms(self):
-        # the model's domain: one bucket and a full grid; a solo worker
+        # the model's domain: one bucket, full or ragged grid; a solo worker
         # lists its bucket each round like any other receiver
         cases = [(16, "2l"), (16, "2l-wc"), (27, "3l"), (27, "3l-wc"), (1, "1l-wc"), (1, "2l-wc")]
+        cases += [(5, "2l"), (5, "2l-wc"), (7, "2l"), (13, "2l-wc"), (60, "3l"), (60, "3l-wc")]
         for P, variant in cases:
             sim = fresh_sim()
             cfg = exchange.ExchangeConfig(
@@ -377,11 +373,11 @@ class TestBucketSharding:
 class TestPhaseTrace:
     # SHA-256 over every phase row of P=16 two-level runs in each
     # write-combining mode over 1 and 3 buckets; pins the trace's stamps
-    TRACE_SHA256 = "9c4023f4c842bec10de5197697fd5aa6c84c4f778826d3a59e2400782288866a"
+    TRACE_SHA256 = "8fd40a2e56f363e56d8580845a99b7472033a88f39deac6486ee49901cded12f"
 
     def test_phase_rows_are_pinned(self):
         rows = []
-        for mode in exchange._WC_MODES:
+        for mode in (exchange.WC_OFF, exchange.WC_OFFSETS_IN_NAME):
             for buckets in (1, 3):
                 sim = fresh_sim()
                 cfg = exchange.ExchangeConfig(
@@ -392,25 +388,44 @@ class TestPhaseTrace:
                     (mode, buckets, t.worker, t.level, t.write_us, t.wait_us, t.read_us)
                     for t in trace
                 ]
-        assert len(rows) == 3 * 2 * 16 * 2
+        assert len(rows) == 2 * 2 * 16 * 2
         digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
         assert digest == self.TRACE_SHA256
 
 
-class TestPollMode:
-    def test_poll_rejected_with_offsets_in_name(self):
-        with pytest.raises(ValueError, match="poll"):
-            exchange.ExchangeConfig(
-                levels=2, write_combining=exchange.WC_OFFSETS_IN_NAME, poll=True
-            )
+class TestExchangeDigest:
+    # SHA-256 over both operators' outputs, ledgers, phase rows and end
+    # times, for each write-combining mode, P in {1, 5, 9, 16, 27}, 1-3
+    # levels and 1 or 3 buckets; pins the exchange byte for byte
+    EXCHANGE_SHA256 = "8e77f1e0771ec38a944da2bc9d6d59e975f212f83c3eb4b22edb5390d4b91789"
 
-    def test_poll_mode_bills_probe_requests(self):
-        P = 4
-        subscribe = fresh_sim()
-        run(subscribe, make_inputs(P, 8), exchange.ExchangeConfig(levels=1))
-        poll = fresh_sim()
-        run(poll, make_inputs(P, 8), exchange.ExchangeConfig(levels=1, poll=True))
-        assert poll.ledger.count(READ) >= subscribe.ledger.count(READ)
+    def test_exchange_is_pinned(self):
+        digest = hashlib.sha256()
+        for mode in (exchange.WC_OFF, exchange.WC_OFFSETS_IN_NAME):
+            for P in (1, 5, 9, 16, 27):
+                for levels in (1, 2, 3):
+                    for buckets in (1, 3):
+                        cfg = exchange.ExchangeConfig(
+                            levels=levels, write_combining=mode, num_buckets=buckets
+                        )
+                        sim = fresh_sim()
+                        outputs, trace = sim.loop.run_task(
+                            exchange.run_exchange(sim, make_inputs(P, 3 * P), cfg)
+                        )
+                        synth = fresh_sim()
+                        sizes, synth_trace, makespan = synth.loop.run_task(
+                            exchange.run_synthetic_exchange(synth, P, 10**6 + 7, cfg)
+                        )
+                        for ran, out, tr in (
+                            (sim, outputs, trace),
+                            (synth, sizes, synth_trace),
+                        ):
+                            rows = [tuple(vars(t).values()) for t in tr]
+                            key = (mode, P, levels, buckets, sorted(out.items()), rows)
+                            digest.update(repr(key + (ran.loop.now,)).encode())
+                            digest.update(ran.ledger.to_csv().encode())
+                        digest.update(repr(makespan).encode())
+        assert digest.hexdigest() == self.EXCHANGE_SHA256
 
 
 @settings(max_examples=20, deadline=None)

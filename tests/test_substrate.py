@@ -191,7 +191,8 @@ class TestObjectStore:
             yield from sim.store.put_object(ctx, "b", "k", b"data")
 
         def reader():
-            data = yield from sim.store.get_object_when_ready(ctx, "b", "k")
+            yield from sim.store.wait_for_object("b", "k")
+            data = yield from sim.store.get_object(ctx, "b", "k")
             return data, sim.loop.now
 
         def main():
@@ -203,26 +204,6 @@ class TestObjectStore:
         assert data == b"data"
         assert t > 500_000
         assert sim.ledger.count(READ, "b") == 1  # exactly one billed GET
-
-    def test_polling_reader_bills_every_probe(self):
-        sim = make_sim()
-        ctx = sim.driver()
-        sim.store.create_bucket("b")
-
-        def late_writer():
-            yield Sleep(200_000)
-            yield from sim.store.put_object(ctx, "b", "k", b"data")
-
-        def reader():
-            data = yield from sim.store.get_object_when_ready(ctx, "b", "k", poll=True)
-            return data
-
-        def main():
-            sim.loop.spawn(late_writer())
-            return (yield sim.loop.spawn(reader()))
-
-        assert run(sim, main()) == b"data"
-        assert sim.ledger.count(READ, "b") > 1
 
 
 class TestBandwidth:
