@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from . import lcf
 
@@ -49,31 +50,70 @@ _TABLE_CACHE: dict = {}
 _FILE_CACHE: dict = {}
 
 
+# (size, offset) of each column's draw in COLUMNS order: the value is
+# randrange(offset, offset + size), the same as randint(offset, offset + size - 1)
+_DRAWS = (
+    (SHIPDATE_DAYS, 0),
+    (50, 1),
+    (10_000_000 - 100, 100),
+    (11, 0),
+    (9, 0),
+    (3, 0),
+    (2, 0),
+)
+
+
+def _draw(getrandbits, count: int, size: int, offset: int = 0) -> list[int]:
+    """`count` calls of `randrange(offset, offset + size)` on the Random owning `getrandbits`.
+
+    CPython's `_randbelow_with_getrandbits` takes `size.bit_length()` bits and
+    takes them again while the result is >= size.  Taking the outstanding
+    count at once and keeping the results below `size` consumes the same
+    draws in the same order, so both the values and the stream's position
+    afterwards equal `random`'s.
+    """
+    k = size.bit_length()
+    out: list[int] = []
+    while len(out) < count:
+        out += [r + offset for r in map(getrandbits, repeat(k, count - len(out))) if r < size]
+    return out
+
+
+def _date_order(ship: list[int]) -> list[int]:
+    """Row indices by ship date, equal to sorted(range(n), key=ship.__getitem__).
+
+    A stable counting sort over the SHIPDATE_DAYS dates; ties keep row order.
+    """
+    by_day: list[list[int]] = [[] for _ in range(SHIPDATE_DAYS)]
+    for i, day in enumerate(ship):
+        by_day[day].append(i)
+    return list(chain.from_iterable(by_day))
+
+
 def generate_tables(spec: GenSpec, seed: int) -> list[list[list[int]]]:
     """Column-major tables, one per (pre-replication) file, globally sorted."""
     cached = _TABLE_CACHE.get((spec, seed))
     if cached is not None:
         return cached
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     n = spec.total_rows
-    columns = {
-        "shipdate": [rng.randrange(SHIPDATE_DAYS) for _ in range(n)],
-        "quantity": [rng.randint(1, 50) for _ in range(n)],
-        "extendedprice": [rng.randrange(100, 10_000_000) for _ in range(n)],
-        "discount": [rng.randint(0, 10) for _ in range(n)],
-        "tax": [rng.randint(0, 8) for _ in range(n)],
-        "returnflag": [rng.randint(0, 2) for _ in range(n)],
-        "linestatus": [rng.randint(0, 1) for _ in range(n)],
-    }
-    order = sorted(range(n), key=columns["shipdate"].__getitem__)
-    columns = {name: [vals[i] for i in order] for name, vals in columns.items()}
+    columns = [_draw(getrandbits, n, size, offset) for size, offset in _DRAWS]
+    order = _date_order(columns[0])
     base, extra = divmod(n, spec.files)
-    tables = []
+    bounds = []
     pos = 0
     for i in range(spec.files):
         take = base + (1 if i < extra else 0)
-        tables.append([columns[name][pos : pos + take] for name in COLUMNS])
+        bounds.append((pos, pos + take))
         pos += take
+    tables: list[list[list[int]]] = [[] for _ in bounds]
+    for c in range(len(columns)):
+        # drop each column once it is reordered: one reordered column at a
+        # time keeps the set-up's peak memory below a full second copy
+        values = [columns[c][i] for i in order]
+        columns[c] = []
+        for table, (start, stop) in zip(tables, bounds):
+            table.append(values[start:stop])
     _TABLE_CACHE[(spec, seed)] = tables
     return tables
 

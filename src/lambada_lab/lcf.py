@@ -10,6 +10,7 @@ from __future__ import annotations
 import struct
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import errors
 
@@ -26,6 +27,7 @@ ENC_RLE = 1
 _VALUE_PACK = {INT64: "<q", FLOAT64: "<d"}
 _PYTHON_TYPE = {INT64: int, FLOAT64: float}
 _LITTLE_ENDIAN_HOST = sys.byteorder == "little"
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -80,11 +82,17 @@ class FileFooter:
     version: int = FORMAT_VERSION
 
 
-def _check_value(value, typ) -> None:
-    if typ == INT64 and not isinstance(value, int):
-        raise errors.TypeMismatch(f"expected int for INT64 column, got {value!r}")
-    if typ == FLOAT64 and not isinstance(value, float):
-        raise errors.TypeMismatch(f"expected float for FLOAT64 column, got {value!r}")
+def _check_values(name: str, values, typ) -> None:
+    """Raise TypeMismatch, naming the column, at the first value `typ` cannot hold."""
+    want = _PYTHON_TYPE[typ]
+    for value in values:
+        if not isinstance(value, want):
+            kind = "INT64" if typ == INT64 else "FLOAT64"
+            raise errors.TypeMismatch(
+                f"column {name!r}: expected {want.__name__} for {kind} column, got {value!r}"
+            )
+        if typ == INT64 and not _INT64_MIN <= value <= _INT64_MAX:
+            raise errors.TypeMismatch(f"column {name!r}: {value!r} is outside the INT64 range")
 
 
 def encode_chunk(values, typ: int, encoding: int) -> bytes:
@@ -157,10 +165,11 @@ def write_file(schema: Schema, row_groups, rle_columns=()) -> bytes:
         for (name, typ), values in zip(schema.columns, table):
             if len(values) != row_count:
                 raise errors.TypeMismatch("ragged row group")
-            want = _PYTHON_TYPE[typ]
-            if not all(isinstance(v, want) for v in values):
-                for v in values:
-                    _check_value(v, typ)
+            if not all(map(isinstance, values, repeat(_PYTHON_TYPE[typ]))):
+                _check_values(name, values, typ)
+            stats = ColumnStats(min(values), max(values))
+            if typ == INT64 and not _INT64_MIN <= stats.min_value <= stats.max_value <= _INT64_MAX:
+                _check_values(name, values, typ)
             encoding = ENC_RLE if name in rle_columns else ENC_PLAIN
             encoded = encode_chunk(values, typ, encoding)
             chunks.append(
@@ -169,7 +178,7 @@ def write_file(schema: Schema, row_groups, rle_columns=()) -> bytes:
                     compressed_len=len(encoded),
                     uncompressed_len=8 * row_count,
                     encoding=encoding,
-                    stats=ColumnStats(min(values), max(values)),
+                    stats=stats,
                 )
             )
             body.extend(encoded)

@@ -1,4 +1,8 @@
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lambada_lab import datagen, lcf
 from lambada_lab.config import SimConfig
@@ -83,3 +87,85 @@ def test_percentile_value():
 def test_spec_validation():
     with pytest.raises(ValueError):
         datagen.GenSpec(scale_bytes=56, files=10)  # fewer rows than files
+
+
+# ------------------------------------------------------------ identical draws
+
+
+def naive_generate_tables(spec, seed):
+    """Oracle: one randrange/randint call per value, then a keyed sort and per-column copies."""
+    rng = random.Random(seed)
+    n = spec.total_rows
+    columns = {
+        "shipdate": [rng.randrange(datagen.SHIPDATE_DAYS) for _ in range(n)],
+        "quantity": [rng.randint(1, 50) for _ in range(n)],
+        "extendedprice": [rng.randrange(100, 10_000_000) for _ in range(n)],
+        "discount": [rng.randint(0, 10) for _ in range(n)],
+        "tax": [rng.randint(0, 8) for _ in range(n)],
+        "returnflag": [rng.randint(0, 2) for _ in range(n)],
+        "linestatus": [rng.randint(0, 1) for _ in range(n)],
+    }
+    order = sorted(range(n), key=columns["shipdate"].__getitem__)
+    columns = {name: [vals[i] for i in order] for name, vals in columns.items()}
+    base, extra = divmod(n, spec.files)
+    tables = []
+    pos = 0
+    for i in range(spec.files):
+        take = base + (1 if i < extra else 0)
+        tables.append([columns[name][pos : pos + take] for name in datagen.COLUMNS])
+        pos += take
+    return tables
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64),
+    # 1 row, and counts on both sides of the 2526 ship dates so that dates tie
+    rows=st.one_of(st.just(1), st.integers(2, 2 * datagen.SHIPDATE_DAYS)),
+    files=st.integers(1, 9),
+    rows_per_group=st.integers(1, 700),
+)
+def test_tables_equal_the_naive_generator(seed, rows, files, rows_per_group):
+    # the equality rests on CPython's _randbelow_with_getrandbits, so the
+    # oracle runs on this interpreter's random, not on stored values
+    spec = small_spec(rows=rows, files=min(files, rows), rows_per_group=rows_per_group)
+    assert datagen.generate_tables(spec, seed) == naive_generate_tables(spec, seed)
+
+
+EDGE_SIZES = ((1, 0), (2, 0), (2**10, 0), (2**10 + 1, 3), (2**32, 0), (2**32 + 1, -7))
+
+
+@pytest.mark.parametrize("size, offset", datagen._DRAWS + EDGE_SIZES)
+@pytest.mark.parametrize("seed", [7, 8, 301])
+def test_draw_equals_randrange(seed, size, offset):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    got = datagen._draw(ours.getrandbits, 3000, size, offset)
+    assert got == [theirs.randrange(offset, offset + size) for _ in range(3000)]
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_columns_drawn_back_to_back_stay_aligned():
+    ours, theirs = random.Random(22), random.Random(22)
+    first = datagen._draw(ours.getrandbits, 5000, datagen.SHIPDATE_DAYS)
+    second = datagen._draw(ours.getrandbits, 5000, 50, 1)
+    assert first == [theirs.randrange(datagen.SHIPDATE_DAYS) for _ in range(5000)]
+    assert second == [theirs.randint(1, 50) for _ in range(5000)]
+    assert ours.getstate() == theirs.getstate()
+
+
+# SHA-256 over the seed, key and bytes of every file of seeds 7 and 8, taken
+# from the generator that made one randrange/randint call per value.
+GOLDEN_FILES_SHA256 = {
+    1: "c935040ba9f150585c5adb7395d62c2dfa08a37da766abb7526f544dd5a29f3c",
+    3: "aed683e8639420df7c628957b805a4c5ba944f1b10cb6a63f23fa987d769a603",
+}
+
+
+@pytest.mark.parametrize("replication", sorted(GOLDEN_FILES_SHA256))
+def test_encoded_files_match_golden_digest(replication):
+    spec = small_spec(rows=5000, files=4, rows_per_group=512, replication=replication)
+    digest = hashlib.sha256()
+    for seed in (7, 8):
+        for key, data in datagen.encode_files(spec, seed):
+            digest.update(f"{seed}\0{key}\0{len(data)}\0".encode() + data)
+    assert digest.hexdigest() == GOLDEN_FILES_SHA256[replication]

@@ -181,6 +181,32 @@ class TestValidation:
         with pytest.raises(errors.TypeMismatch, match=message):
             lcf.write_file(SCHEMA_XY, [table])
 
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70])
+    @pytest.mark.parametrize("rle", [False, True])
+    def test_int64_out_of_range_names_the_column(self, value, rle):
+        schema = lcf.Schema((("a", lcf.INT64),))
+        with pytest.raises(errors.TypeMismatch, match=f"column 'a': {value} is outside"):
+            lcf.write_file(schema, [[[0, value]]], rle_columns=("a",) if rle else ())
+
+    @pytest.mark.parametrize("rle", [False, True])
+    def test_int64_range_ends_round_trip(self, rle):
+        schema = lcf.Schema((("a", lcf.INT64),))
+        values = [-(2**63), 2**63 - 1, -(2**63)]
+        data = lcf.write_file(schema, [[values]], rle_columns=("a",) if rle else ())
+        assert lcf.read_table(data) == [values]
+
+    @pytest.mark.parametrize(
+        "table, column",
+        [([[1, 2.5], [1.0, 2.0]], "x"), ([[1, 2], [1.0, 2]], "y")],
+    )
+    def test_type_mismatch_names_the_column(self, table, column):
+        with pytest.raises(errors.TypeMismatch, match=f"column '{column}'"):
+            lcf.write_file(SCHEMA_XY, [table])
+
+    def test_bool_is_accepted_as_int64(self):
+        data = lcf.write_file(lcf.Schema((("a", lcf.INT64),)), [[[True, 5, False]]])
+        assert lcf.read_table(data) == [[1, 5, 0]]
+
     def test_empty_row_group_rejected(self):
         with pytest.raises(errors.EmptyRowGroup):
             lcf.write_file(lcf.Schema((("x", lcf.INT64),)), [[[]]])
