@@ -144,7 +144,7 @@ class SimLoop:
         return self.start(Task(gen, name=name))
 
     def _step(self, task: Task, value: Any, exc: BaseException | None) -> None:
-        if task.done:
+        if task._done:
             return
         try:
             if exc is not None:
@@ -179,8 +179,9 @@ class SimLoop:
 
     def run(self) -> None:
         """Drain the event queue, advancing virtual time."""
-        while self._heap:
-            when, _seq, fn = heapq.heappop(self._heap)
+        heap, heappop = self._heap, heapq.heappop
+        while heap:
+            when, _seq, fn = heappop(heap)
             self.now = when
             fn()
 

@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd
 
 from .billing import LIST, READ, WRITE
 from .clock import AllOf, Sleep, US_PER_MS
@@ -159,7 +160,8 @@ class _ExchangeRun:
                     f"run a bucket_prefix other than {cfg.bucket_prefix!r}"
                 )
         self.senders = [sender_map(P, level, self.s) for level in range(cfg.levels)]
-        self.owners = Counter(self.naming.bucket(q) for q in range(P))  # senders per bucket
+        self.bucket_of = [self.naming.bucket(q) for q in range(P)]  # worker -> its bucket
+        self.owners = Counter(self.bucket_of)  # senders per bucket
         self.written: Counter = Counter()  # (level, bucket) -> offsets-in-name files put
         self.listed: dict = {}  # (level, bucket) -> {sender: (key, offsets)}
         self.trace: list[PhaseTrace] = []
@@ -208,9 +210,9 @@ class _ExchangeRun:
                     continue  # unreachable digit class, provably empty
                 key = naming.plain_key(level, p, target)
                 blob = data[offsets[c] : offsets[c + 1]]
-                yield from store.put_object(ctx, naming.bucket(target), key, blob)
+                yield from store.put_object(ctx, self.bucket_of[target], key, blob)
             return
-        bucket = naming.bucket(p)
+        bucket = self.bucket_of[p]
         key = naming.in_name_key(level, p, offsets)
         yield from store.put_object(ctx, bucket, key, data)
         self.written[level, bucket] += 1
@@ -220,11 +222,11 @@ class _ExchangeRun:
 
         Also returns the time spent in the free wait phase (for the trace).
         """
-        cfg, naming, sim = self.cfg, self.naming, self.sim
+        cfg, naming, sim, bucket_of = self.cfg, self.naming, self.sim, self.bucket_of
         my_senders = self.senders[level][p]
         blobs = []
         if cfg.write_combining == WC_OFF:
-            bucket = naming.bucket(p)
+            bucket = bucket_of[p]
             keys = [naming.plain_key(level, q, p) for q, _ in my_senders]
             t0 = sim.loop.now
             for key in keys:
@@ -238,7 +240,7 @@ class _ExchangeRun:
         # first complete listing of a bucket in a round is parsed for everyone
         prefix = f"l{level}/s"
         t0 = sim.loop.now
-        for bucket in sorted({naming.bucket(q) for q, _ in my_senders}):
+        for bucket in sorted({bucket_of[q] for q, _ in my_senders}):
             while self.written[level, bucket] < self.owners[bucket]:
                 yield Sleep(PREFIX_POLL_US)
             keys = yield from sim.store.list_objects(ctx, bucket, prefix)
@@ -249,7 +251,7 @@ class _ExchangeRun:
                     index[q] = key, offsets
         wait_us = sim.loop.now - t0
         for q, c in my_senders:
-            bucket = naming.bucket(q)
+            bucket = bucket_of[q]
             key, offsets = self.listed[level, bucket][q]
             blob = yield from sim.store.get_object(
                 ctx, bucket, key, (offsets[c], offsets[c + 1])
@@ -340,36 +342,44 @@ class CostModelRow:
 VARIANTS = ("1l", "1l-wc", "2l", "2l-wc", "3l", "3l-wc")
 
 
-def exchange_cost(P: int, variant: str, prices) -> CostModelRow:
+def exchange_cost(P: int, variant: str, prices, num_buckets: int = 1) -> CostModelRow:
     """Closed-form request counts and bill for one exchange variant.
 
-    Write-combined variants assume offsets-in-name, which needs one listing
-    per receiver per round, a solo worker's included.  With ragged P
-    (P != s**k) a provably empty digit class is never shipped or read, so
-    only the (sender, digit class) pairs that `route` maps somewhere count.
-
-    The model matches the simulation exactly for one bucket.  Sharded over
-    several buckets, a write-combined receiver lists every bucket that
-    holds one of its senders' files, so the simulation issues more LISTs.
+    Write-combined variants assume offsets-in-name: each round a receiver
+    lists every bucket that holds one of its senders' files, a solo worker
+    included.  Sender q writes to bucket q mod B (`num_buckets`), so on a
+    full grid (P = s**k) the senders of one round, s**level apart, fill
+    min(s, B / gcd(s**level, B)) buckets.  With ragged P a provably empty
+    digit class is never shipped or read, so only the (sender, digit class)
+    pairs that `route` maps somewhere count, and each receiver's buckets
+    are counted one by one.
     """
     if P < 1:
         raise ValueError("P must be >= 1")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant}")
+    if num_buckets < 1:
+        raise ValueError("need at least one bucket")
     k = int(variant[0])
     combined = variant.endswith("-wc")
     s = P if k == 1 else ceil_root(P, k)
     if P == s**k:
         reads = k * P * s
+        lists = P * sum(min(s, num_buckets // gcd(s**level, num_buckets)) for level in range(k))
     else:
-        reads = sum(
-            route(q, level, c, s, P) is not None
-            for level in range(k)
-            for q in range(P)
-            for c in range(s)
-        )
+        reads = lists = 0
+        for level in range(k):
+            listed = [set() for _ in range(P)]  # receiver -> its senders' buckets
+            for q in range(P):
+                for c in range(s):
+                    target = route(q, level, c, s, P)
+                    if target is not None:
+                        reads += 1
+                        listed[target].add(q % num_buckets)
+            lists += sum(map(len, listed))
     writes = k * P if combined else reads
-    lists = k * P if combined else 0
+    if not combined:
+        lists = 0
     usd = (
         reads * prices.request_price(READ)
         + writes * prices.request_price(WRITE)

@@ -8,6 +8,7 @@ are virtual.  All operations are generators meant to be driven with
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,12 +194,17 @@ class Bucket:
     def __init__(self, name: str, cfg: SimConfig):
         self.name = name
         self.objects: dict[str, Any] = {}
+        self.keys: list[str] = []  # the keys of `objects`, sorted: the LIST index
         self.read_limiter = RateLimiter(cfg.bucket_read_limit_per_s)
         self.write_limiter = RateLimiter(cfg.bucket_write_limit_per_s)
         self._waiters: dict[str, list[Future]] = {}
 
-    def notify_put(self, key: str) -> None:
-        for fut in self._waiters.pop(key, []):
+    def write(self, key: str, data) -> None:
+        """Store `data` under `key`, index a new key and wake its waiters."""
+        if key not in self.objects:
+            insort(self.keys, key)
+        self.objects[key] = data
+        for fut in self._waiters.pop(key, ()):
             fut.set_result(None)
 
     def waiter(self, key: str) -> Future:
@@ -230,8 +236,7 @@ class ObjectStore:
         """
         b = self.create_bucket(bucket)
         self._check_key(key)
-        b.objects[key] = data
-        b.notify_put(key)
+        b.write(key, data)
 
     def _check_key(self, key: str) -> None:
         size = len(key.encode("utf-8"))
@@ -273,8 +278,7 @@ class ObjectStore:
         self._check_key(key)
         yield from self._request(ctx, b, WRITE)
         yield from self._transfer(ctx.egress, len(data))
-        b.objects[key] = data
-        b.notify_put(key)
+        b.write(key, data)
 
     def get_object(
         self,
@@ -311,10 +315,22 @@ class ObjectStore:
         return data
 
     def list_objects(self, ctx: HostContext, bucket: str, prefix: str = "") -> Generator:
-        """List keys with `prefix`, lexicographically sorted. Billed as a write."""
+        """List keys with `prefix`, lexicographically sorted. Billed as a write.
+
+        Reads the bucket's sorted key index with two binary searches and
+        returns a new list.
+        """
         b = self.bucket(bucket)
         yield from self._request(ctx, b, LIST)
-        return sorted(k for k in b.objects if k.startswith(prefix))
+        keys = b.keys
+        lo = bisect_left(keys, prefix)
+        # every key with the prefix sorts below the prefix's successor: drop
+        # trailing U+10FFFF (no code point follows it), then bump the last one
+        stem = prefix.rstrip("\U0010ffff")
+        if not stem:
+            return keys[lo:]
+        upper = stem[:-1] + chr(ord(stem[-1]) + 1)
+        return keys[lo : bisect_left(keys, upper, lo)]
 
     def wait_for_object(self, bucket: str, key: str) -> Generator:
         """Suspend until `key` exists.  Free: models a well-tuned existence poll."""

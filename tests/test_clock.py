@@ -1,6 +1,11 @@
+import hashlib
+
 import pytest
 
+from lambada_lab import datagen, engine, exchange, invoke
 from lambada_lab.clock import AllOf, Future, SimLoop, Sleep, US_PER_S
+from lambada_lab.config import SimConfig
+from lambada_lab.substrate import CloudSim
 
 
 def test_sleep_advances_virtual_time():
@@ -196,3 +201,48 @@ def test_deadlock_is_chained_to_the_error_that_caused_it():
         loop.run_task(main())
     assert isinstance(info.value.__cause__, KeyError)
 
+
+class TestEventCount:
+    """Every event passes through `SimLoop.call_at`, as perfbench counts them.
+
+    Pins the number of events and a SHA-256 over their scheduled times in
+    order, so a faster loop must neither add, drop nor reorder events.
+    """
+
+    @pytest.fixture
+    def scheduled(self, monkeypatch):
+        times = []
+        call_at = SimLoop.call_at
+
+        def counting(loop, when_us, fn):
+            times.append(when_us)
+            return call_at(loop, when_us, fn)
+
+        monkeypatch.setattr(SimLoop, "call_at", counting)
+        return times
+
+    @staticmethod
+    def digest(times):
+        return hashlib.sha256(repr(times).encode()).hexdigest()
+
+    def test_offsets_in_name_exchange(self, scheduled):
+        sim = CloudSim(SimConfig())
+        cfg = exchange.ExchangeConfig(
+            levels=2, write_combining=exchange.WC_OFFSETS_IN_NAME, num_buckets=3
+        )
+        sim.loop.run_task(exchange.run_synthetic_exchange(sim, 16, 10**9, cfg))
+        assert len(scheduled) == 462
+        assert self.digest(scheduled) == (
+            "4819b68fc262c05495f408542c60c0663f6e14a034b2e7ae25254475c3f86fa4"
+        )
+
+    def test_two_level_query(self, scheduled):
+        spec = datagen.GenSpec(scale_bytes=datagen.ROW_BYTES * 2000, files=8, rows_per_group=100)
+        sim = CloudSim(SimConfig())
+        keys = datagen.gen(sim, spec, 7)
+        plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
+        sim.loop.run_task(engine.execute(sim, plan, keys, strategy=invoke.TWO_LEVEL))
+        assert len(scheduled) == 520
+        assert self.digest(scheduled) == (
+            "416aa80a878731753934e6be7a96974eb801faec57e6db4c08a443690273bd33"
+        )

@@ -295,8 +295,8 @@ class TestCostModel:
         assert abs(float(usd) - 3.3) / 3.3 < 0.05
 
     def test_simulated_counts_match_closed_forms(self):
-        # the model's domain: one bucket, full or ragged grid; a solo worker
-        # lists its bucket each round like any other receiver
+        # one bucket, full or ragged grid (several buckets: the grid test
+        # below); a solo worker lists its bucket each round like any other
         cases = [(16, "2l"), (16, "2l-wc"), (27, "3l"), (27, "3l-wc"), (1, "1l-wc"), (1, "2l-wc")]
         cases += [(5, "2l"), (5, "2l-wc"), (7, "2l"), (13, "2l-wc"), (60, "3l"), (60, "3l-wc")]
         for P, variant in cases:
@@ -313,6 +313,41 @@ class TestCostModel:
             assert sim.ledger.count(WRITE) == row.writes
             assert sim.ledger.count(LIST) == row.lists
             assert sim.ledger.request_usd == row.request_usd
+
+    @pytest.mark.parametrize(
+        "P,variant,buckets,lists",
+        [
+            (256, "2l-wc", 10, 3840),
+            (16, "2l-wc", 3, 96),
+            (27, "3l-wc", 4, 243),
+            (64, "3l-wc", 2, 256),
+        ],
+    )
+    def test_lists_over_several_buckets_on_a_full_grid(self, P, variant, buckets, lists):
+        # each receiver lists every bucket of its senders, s**level apart
+        sim = fresh_sim()
+        assert exchange.exchange_cost(P, variant, sim.prices, buckets).lists == lists
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        P=st.integers(min_value=1, max_value=64),
+        levels=st.integers(min_value=1, max_value=3),
+        mode=st.sampled_from(exchange._WC_MODES),
+        buckets=st.integers(min_value=1, max_value=4),
+    )
+    def test_model_equals_ledger_on_the_grid(self, P, levels, mode, buckets):
+        sim = fresh_sim()
+        cfg = exchange.ExchangeConfig(levels=levels, write_combining=mode, num_buckets=buckets)
+        sim.loop.run_task(exchange.run_synthetic_exchange(sim, P, 10**6, cfg))
+        variant = f"{levels}l" + ("-wc" if mode == exchange.WC_OFFSETS_IN_NAME else "")
+        row = exchange.exchange_cost(P, variant, sim.prices, buckets)
+        ledger = sim.ledger
+        assert (ledger.count(READ), ledger.count(WRITE), ledger.count(LIST)) == (
+            row.reads,
+            row.writes,
+            row.lists,
+        )
+        assert ledger.request_usd == row.request_usd
 
 
 class TestOffsetsInNameKeys:

@@ -357,6 +357,72 @@ class TestNicShaper:
             assert nic.tokens == oracle.tokens
 
 
+def naive_list(objects: dict, prefix: str) -> list[str]:
+    """LIST as a filter and sort over every key: the oracle for the key index."""
+    return sorted(k for k in objects if k.startswith(prefix))
+
+
+MAX_CHAR = "\U0010ffff"
+# few characters, so keys collide (overwrites) and share prefixes; the
+# largest code point and its predecessor probe the index's upper bound
+store_keys = st.text(st.sampled_from(["a", "b", "/", "é", "\U0010fffe", MAX_CHAR]), max_size=4)
+
+
+class TestListIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["put", "seed", "overwrite"]),
+                store_keys,
+                st.integers(min_value=0, max_value=50),
+            ),
+            max_size=30,
+        ),
+        extra=st.lists(store_keys, max_size=5),
+    )
+    def test_list_equals_filter_and_sort(self, ops, extra):
+        sim = make_sim()
+        store, ctx = sim.store, sim.driver()
+        store.create_bucket("b")
+        objects = store.bucket("b").objects
+
+        def check(prefix):
+            listed = yield from store.list_objects(ctx, "b", prefix)
+            assert listed == naive_list(objects, prefix)
+            listed.append("a")
+            listed.reverse()
+            again = yield from store.list_objects(ctx, "b", prefix)
+            assert again == naive_list(objects, prefix)
+
+        def main():
+            for op, key, n in ops:
+                if op == "overwrite" and objects:
+                    key = sorted(objects)[n % len(objects)]
+                if op == "seed":
+                    store.seed_object("b", key, b"x" * n)
+                else:
+                    yield from store.put_object(ctx, "b", key, b"x" * n)
+                prefixes = {key[:i] for i in range(len(key) + 1)} | {key + MAX_CHAR}
+                for prefix in sorted(prefixes | set(extra)):
+                    yield from check(prefix)
+
+        run(sim, main())
+        assert store.bucket("b").keys == sorted(objects)
+
+    def test_prefix_ending_in_the_largest_code_point(self):
+        # prefix + U+10FFFF is no upper bound: for "a" it would drop every key
+        # from "a\U0010ffff" on
+        sim = make_sim()
+        keys = ["a", "a" + MAX_CHAR, "a" + MAX_CHAR * 2, "a" + MAX_CHAR + "b", "aé", "b", MAX_CHAR]
+        for key in keys:
+            sim.store.seed_object("b", key, b"")
+        ctx = sim.driver()
+        for prefix in ["", "a", "a" + MAX_CHAR, "a" + MAX_CHAR * 2, MAX_CHAR, "é"]:
+            listed = run(sim, sim.store.list_objects(ctx, "b", prefix))
+            assert listed == naive_list(dict.fromkeys(keys), prefix)
+
+
 class TestCompute:
     def test_cpu_throughput_baseline(self):
         assert cpu_throughput(1792, 1) == 1
