@@ -59,37 +59,67 @@ _BINARY_OPS = {
     "ge": operator.ge,
     "le": operator.le,
 }
+_COLUMN, _CONSTANT = "col", "const"
 
 
 def _all_of(*values) -> bool:
     return all(values)
 
 
-def compile_expr(expr, index: dict[str, int]):
-    """Compile an expression once into batch -> value list.
+def compile_program(exprs, index: dict[str, int]):
+    """Compile expressions once into one program over batches.
 
     A batch is a list of column lists; `index` maps a column name to its
-    position.  Row i of the result equals ``eval_expr(expr, row i)``.
+    position.  Returns ``(steps, outputs)``: step s computes slot s of
+    `run_program`'s result, and ``outputs[i]`` is the slot holding
+    ``exprs[i]`` (None stays None).  Structurally equal subexpressions share
+    a slot, so each is computed once per batch.  Slots are keyed by cheap
+    tuples: ``("col", position)``, ``("const", type, repr)`` or ``(operator,
+    argument slots)``; type and repr keep apart constants that compare
+    equal, such as 1, 1.0 and True, or 0.0 and -0.0.
     """
+    slots: dict[tuple, int] = {}
+    steps: list[tuple] = []
+    outputs = [None if expr is None else _add_step(expr, index, slots, steps) for expr in exprs]
+    return steps, outputs
+
+
+def _add_step(expr, index, slots: dict, steps: list) -> int:
+    """Slot of `expr`, appending steps for it and for any argument not yet
+    in `slots`.  A module function, not a closure: a closure that calls
+    itself is a reference cycle, left for the garbage collector on every
+    compile."""
     if "col" in expr:
-        j = index[expr["col"]]
-        return lambda batch: batch[j]
-    if "const" in expr:
+        key = step = (_COLUMN, index[expr["col"]])
+    elif "const" in expr:
         value = expr["const"]
-        return lambda batch: [value] * len(batch[0])
-    op = expr["op"]
-    args = [compile_expr(a, index) for a in expr["args"]]
-    if op == "and":
-        return lambda batch: list(map(_all_of, *[f(batch) for f in args]))
-    fn = _BINARY_OPS.get(op)
-    if fn is None:
-        raise ValueError(f"unknown operator {op}")
+        key, step = (_CONSTANT, type(value), repr(value)), (_CONSTANT, value)
+    else:
+        op = expr["op"]
+        fn = _all_of if op == "and" else _BINARY_OPS.get(op)
+        if fn is None:
+            raise ValueError(f"unknown operator {op}")
+        args = tuple([_add_step(a, index, slots, steps) for a in expr["args"]])
+        key = step = (fn, args)
+    slot = slots.setdefault(key, len(steps))
+    if slot == len(steps):
+        steps.append(step)
+    return slot
 
-    def binary(batch):
-        cols = [f(batch) for f in args]
-        return list(map(fn, cols[0], cols[1]))
 
-    return binary
+def run_program(steps, batch) -> list[list]:
+    """Every slot's values over one batch; row i of a slot is its
+    expression's ``eval_expr`` value at row i."""
+    n = len(batch[0])
+    values: list[list] = []
+    for fn, arg in steps:
+        if fn is _COLUMN:
+            values.append(batch[arg])
+        elif fn is _CONSTANT:
+            values.append([arg] * n)
+        else:
+            values.append(list(map(fn, *[values[s] for s in arg])))
+    return values
 
 
 def expr_columns(expr) -> set[str]:
@@ -177,23 +207,25 @@ def run_fragment(sim, ctx, bucket, paths, plan):
         raise errors.WorkerOutOfMemory(f"fragment holds {held_bytes} bytes, budget {budget}")
     index = {name: j for j, name in enumerate(scan_op["projection"])}
     key_cols = [index[k] for k in agg_op["keys"]]
-    columns = [
-        None if kind == "count" else compile_expr(expr, index)
-        for kind, expr in agg_op["aggs"]
-    ]
+    steps, outputs = compile_program(
+        [None if kind == "count" else expr for kind, expr in agg_op["aggs"]], index
+    )
     groups: dict[tuple, list] = {}
     for batch in batches:
-        _fold_batch(groups, batch, key_cols, columns)
+        _fold_batch(groups, batch, key_cols, steps, outputs)
     return [[list(k), v] for k, v in groups.items()], report
 
 
-def _fold_batch(groups: dict, batch, key_cols: list[int], columns: list) -> None:
-    """Add one batch into per-group states (`None` in `columns` is a count).
+def _fold_batch(groups: dict, batch, key_cols: list[int], steps, outputs: list) -> None:
+    """Add one batch into per-group states (`None` in `outputs` is a count).
 
-    Rows are grouped first; then each state takes its group's values one add
-    at a time, in row order.  A sum() per group would reassociate float
-    additions (and is compensated on Python >= 3.12), so FLOAT64 aggregates
-    would no longer match the row-at-a-time oracle bit for bit.
+    Rows are grouped first; then each state takes its group's values.  One
+    C-level ``sum()`` adds them, and its result is kept when it is an int:
+    integer addition is exact, so any order gives the oracle's sum.  Any
+    other result means a float took part, and float addition depends on its
+    order (``sum()`` also compensates floats on Python >= 3.12).  Such a
+    state is redone from its old value with one add at a time in row order,
+    so FLOAT64 aggregates match the row-at-a-time oracle bit for bit.
     """
     n = len(batch[0])
     rows_of: dict[tuple, list[int]] = {}  # key -> its row indices, ascending
@@ -204,19 +236,23 @@ def _fold_batch(groups: dict, batch, key_cols: list[int], columns: list) -> None
             rows_of[key] = [i]
         else:
             rows.append(i)
-    values = [None if f is None else f(batch) for f in columns]
+    slots = run_program(steps, batch)
+    values = [None if s is None else slots[s] for s in outputs]
     for key, rows in rows_of.items():
         state = groups.get(key)
         if state is None:
-            state = groups[key] = [0] * len(columns)
+            state = groups[key] = [0] * len(values)
         for a, col in enumerate(values):
             if col is None:
                 state[a] += len(rows)
                 continue
             acc = state[a]
-            for v in map(col.__getitem__, rows):
-                acc += v
-            state[a] = acc
+            total = sum(map(col.__getitem__, rows), acc)
+            if type(total) is not int:
+                total = acc
+                for v in map(col.__getitem__, rows):
+                    total += v
+            state[a] = total
 
 
 def merge_partials(partials):

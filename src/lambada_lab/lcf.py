@@ -7,10 +7,12 @@ hex-annotated example.  Numeric-only: INT64 and FLOAT64 columns, no nulls.
 
 from __future__ import annotations
 
+import functools
 import struct
 import sys
 from dataclasses import dataclass
 from itertools import repeat
+from typing import NamedTuple
 
 from . import errors
 
@@ -54,14 +56,12 @@ class Schema:
         return len(self.columns)
 
 
-@dataclass(frozen=True)
-class ColumnStats:
+class ColumnStats(NamedTuple):
     min_value: int | float
     max_value: int | float
 
 
-@dataclass(frozen=True)
-class ColumnChunkMeta:
+class ColumnChunkMeta(NamedTuple):
     offset: int
     compressed_len: int
     uncompressed_len: int
@@ -69,8 +69,7 @@ class ColumnChunkMeta:
     stats: ColumnStats
 
 
-@dataclass(frozen=True)
-class RowGroupMeta:
+class RowGroupMeta(NamedTuple):
     row_count: int
     chunks: tuple[ColumnChunkMeta, ...]
 
@@ -132,13 +131,19 @@ def decode_chunk(meta: ColumnChunkMeta, data: bytes, typ: int, row_count: int) -
         if len(data) % 12 != 0:
             raise errors.CorruptChunk("RLE chunk length not a multiple of 12")
         values: list = []
-        for off in range(0, len(data), 12):
-            (value,) = struct.unpack_from(pack, data, off)
-            (count,) = struct.unpack_from("<I", data, off + 8)
-            values.extend([value] * count)
-        if len(values) != row_count:
+        decoded = 0
+        for value, count in struct.iter_unpack(pack + "I", data):
+            decoded += count
+            # checked before the run is expanded: a corrupt u32 count would
+            # otherwise ask for up to 2**32 list slots
+            if decoded > row_count:
+                raise errors.CorruptChunk(
+                    f"RLE chunk decodes to more than {row_count} rows"
+                )
+            values.extend(repeat(value, count))
+        if decoded != row_count:
             raise errors.CorruptChunk(
-                f"RLE chunk decoded to {len(values)} rows, expected {row_count}"
+                f"RLE chunk decoded to {decoded} rows, expected {row_count}"
             )
         return values
     raise errors.CorruptChunk(f"unknown encoding id {meta.encoding}")
@@ -206,54 +211,62 @@ def encode_footer(footer: FileFooter) -> bytes:
     return bytes(out)
 
 
-class _Cursor:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+_FOOTER_HEAD = struct.Struct("<HH")
+_NAME_LEN = struct.Struct("<H")
+_GROUP_COUNT = struct.Struct("<I")
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise errors.CorruptFooter("footer truncated")
-        values = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return values if len(values) > 1 else values[0]
 
-    def take_bytes(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise errors.CorruptFooter("footer truncated")
-        raw = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return raw
+@functools.lru_cache(maxsize=64)
+def _row_group_struct(schema: Schema) -> struct.Struct:
+    """One row group's footer entry: its row count, then per column the
+    chunk's offset, lengths and encoding, and its min and max."""
+    return struct.Struct(
+        "<Q" + "".join("QQQB" + 2 * _VALUE_PACK[typ][1] for _, typ in schema.columns)
+    )
 
 
 def decode_footer(raw: bytes) -> FileFooter:
-    cur = _Cursor(raw)
-    version = cur.take("<H")
+    if len(raw) < _FOOTER_HEAD.size:
+        raise errors.CorruptFooter("footer truncated")
+    version, ncols = _FOOTER_HEAD.unpack_from(raw)
     if version != FORMAT_VERSION:
         raise errors.CorruptFooter(f"unsupported format version {version}")
-    ncols = cur.take("<H")
+    pos = _FOOTER_HEAD.size
     columns = []
     for _ in range(ncols):
-        name_len = cur.take("<H")
-        name = cur.take_bytes(name_len).decode("utf-8")
-        typ = cur.take("<B")
-        columns.append((name, typ))
+        if pos + 2 > len(raw):
+            raise errors.CorruptFooter("footer truncated")
+        (name_len,) = _NAME_LEN.unpack_from(raw, pos)
+        end = pos + 2 + name_len
+        if end + 1 > len(raw):
+            raise errors.CorruptFooter("footer truncated")
+        try:
+            name = raw[pos + 2 : end].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise errors.CorruptFooter(f"column name is not UTF-8: {err}")
+        columns.append((name, raw[end]))
+        pos = end + 1
     try:
         schema = Schema(tuple(columns))
     except ValueError as err:
         raise errors.CorruptFooter(str(err))
-    ngroups = cur.take("<I")
+    if pos + _GROUP_COUNT.size > len(raw):
+        raise errors.CorruptFooter("footer truncated")
+    (ngroups,) = _GROUP_COUNT.unpack_from(raw, pos)
+    pos += _GROUP_COUNT.size
+    entry = _row_group_struct(schema)
+    size = ngroups * entry.size
+    if pos + size > len(raw):
+        raise errors.CorruptFooter("footer truncated")
+    if pos + size < len(raw):
+        raise errors.CorruptFooter("trailing bytes after footer")
     groups = []
     prev_end = 0
-    for _ in range(ngroups):
-        row_count = cur.take("<Q")
+    for fields in entry.iter_unpack(raw[pos:]):
         chunks = []
-        for _, typ in schema.columns:
-            offset, clen, ulen, encoding = cur.take("<QQQB")
-            pack = _VALUE_PACK[typ]
-            min_v = cur.take(pack)
-            max_v = cur.take(pack)
+        it = iter(fields)
+        row_count = next(it)
+        for offset, clen, ulen, encoding, min_v, max_v in zip(it, it, it, it, it, it):
             if min_v > max_v:
                 raise errors.CorruptFooter("chunk stats have min > max")
             if offset < prev_end:
@@ -263,8 +276,6 @@ def decode_footer(raw: bytes) -> FileFooter:
                 ColumnChunkMeta(offset, clen, ulen, encoding, ColumnStats(min_v, max_v))
             )
         groups.append(RowGroupMeta(row_count, tuple(chunks)))
-    if cur.pos != len(raw):
-        raise errors.CorruptFooter("trailing bytes after footer")
     return FileFooter(schema, tuple(groups), version)
 
 

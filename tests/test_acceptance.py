@@ -256,6 +256,19 @@ class TestC09Engine:
             rows = self._run(spec, plan, memory_mib, files_per_worker)
             assert rows == engine.reference_execute(tables, datagen.COLUMNS, plan)
 
+    def test_q1_q6_sweep_oracle_exact_on_ten_times_the_rows(self):
+        spec = datagen.GenSpec(
+            scale_bytes=datagen.ROW_BYTES * 8000, files=8, rows_per_group=32
+        )
+        tables = datagen.generate_tables(spec, 9)
+        cutoff = datagen.percentile_value(tables, "shipdate", 0.9)
+        for plan in (engine.q1_plan(cutoff), engine.q6_plan(cutoff // 2, cutoff)):
+            oracle = engine.reference_execute(tables, datagen.COLUMNS, plan)
+            for memory_mib in cli.MEMORY_SWEEP:
+                for files_per_worker in (1, 2, 4):
+                    rows = self._run(spec, plan, memory_mib, files_per_worker)
+                    assert rows == oracle, (memory_mib, files_per_worker)
+
     def test_replication_scales_additive_aggregates(self, dataset):
         spec, tables = dataset
         rep_spec = datagen.GenSpec(

@@ -66,9 +66,53 @@ class TestExpressions:
             {"op": "le", "args": [{"op": "mul", "args": [{"col": "x"}, {"col": "y"}]},
                                   {"const": 27.0}]},
         ]}
-        compiled = engine.compile_expr(expr, {"x": 0, "y": 1})
+        steps, (slot,) = engine.compile_program([expr], {"x": 0, "y": 1})
         rows = [{"x": x, "y": y} for x, y in zip(*batch)]
-        assert compiled(batch) == [engine.eval_expr(expr, r) for r in rows] == [False, True, True]
+        compiled = engine.run_program(steps, batch)[slot]
+        assert compiled == [engine.eval_expr(expr, r) for r in rows] == [False, True, True]
+
+    def test_shared_subexpressions_are_computed_once(self):
+        aggs = engine._plan_op(engine.q1_plan(1000), "partial_agg")["aggs"]
+        steps, outputs = engine.compile_program([e for _, e in aggs], {
+            name: j for j, name in enumerate(datagen.COLUMNS)
+        })
+        # quantity, extendedprice, 100, discount, 100 - discount, disc_price,
+        # tax, 100 + tax, charge: the shared price, 100 and disc_price once each
+        assert len(steps) == 9
+        assert outputs[-1] is None and len(set(outputs[:-1])) == 4
+
+    def test_equal_constants_of_other_types_or_signs_are_not_merged(self):
+        consts = [1, 1.0, True, 0.0, -0.0]
+        exprs = [{"const": c} for c in consts] + [
+            {"op": "mul", "args": [{"col": "x"}, {"const": c}]} for c in consts
+        ]
+        steps, outputs = engine.compile_program(exprs, {"x": 0})
+        assert len(set(outputs)) == len(exprs)
+        batch = [[-1, 2]]
+        values = engine.run_program(steps, batch)
+        rows = [{"x": x} for x in batch[0]]
+        for expr, slot in zip(exprs, outputs):
+            oracle = [engine.eval_expr(expr, r) for r in rows]
+            assert json.dumps(values[slot]) == json.dumps(oracle)
+        # x * 0.0 and x * -0.0 keep their signs; 1, 1.0 and True their types
+        assert json.dumps(values[outputs[8]]) == "[-0.0, 0.0]"
+        assert json.dumps(values[outputs[9]]) == "[0.0, -0.0]"
+        assert json.dumps([values[s] for s in outputs[:3]]) == "[[1, 1], [1.0, 1.0], [true, true]]"
+
+    def test_sums_of_equal_constants_keep_their_types(self):
+        sim = CloudSim(SimConfig())
+        schema = lcf.Schema((("x", lcf.INT64),))
+        sim.store.seed_object("data", "part.lcf", lcf.write_file(schema, [[[-1, 2, 4]]]))
+        aggs = [
+            ("sum", {"op": "mul", "args": [{"col": "x"}, {"const": c}]})
+            for c in (1, 1.0, True, 0.0, -0.0)
+        ]
+        plan = engine.build_plan_from_pipeline([], (), aggs)
+        rows, _ = run_query(sim, plan, ["part.lcf"])
+        oracle = engine.reference_execute([[[-1, 2, 4]]], ["x"], plan)
+        # a sum starts from the integer 0, and 0 + -0.0 is 0.0: the signs
+        # of zero show in the evaluated columns above, not in the sums
+        assert json.dumps(rows) == json.dumps(oracle) == "[[[], [5, 5.0, 5, 0.0, 0.0]]]"
 
     def test_columns_of_expression(self):
         expr = {"op": "add", "args": [{"col": "x"}, {"op": "mul", "args": [{"col": "y"}, {"const": 2}]}]}
@@ -172,6 +216,11 @@ FLOATS = st.one_of(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
 )
 INTS = st.integers(min_value=-20, max_value=20)
+# magnitudes whose sums lose low bits, so the order of additions shows
+LARGE_FLOATS = st.one_of(
+    st.sampled_from([1e16, -1e16, 1.0, 0.5]),
+    st.floats(min_value=-1e17, max_value=1e17),
+)
 
 
 @st.composite
@@ -192,10 +241,13 @@ def lcf_tables(draw):
     return schema, files
 
 
-def expressions(names):
+def expressions(names, shared=None):
+    """Random expression trees; `shared`, when given, is one more leaf, so
+    several aggregates can hold the same subexpression."""
     leaves = st.one_of(
         st.sampled_from(names).map(lambda n: {"col": n}),
         st.one_of(INTS, FLOATS).map(lambda v: {"const": v}),
+        *([st.just(shared)] if shared is not None else []),
     )
 
     def extend(children):
@@ -219,10 +271,58 @@ def plans(draw, schema):
         lo, hi = sorted([draw(values), draw(values)])
         intervals.append((name, lo, hi))
     keys = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
-    aggs = [("sum", e) for e in draw(st.lists(expressions(names), min_size=1, max_size=3))]
+    shared = draw(expressions(names))
+    aggs = [
+        ("sum", e)
+        for e in draw(st.lists(expressions(names, shared), min_size=1, max_size=3))
+    ]
     if draw(st.booleans()):
         aggs.append(("count", None))
     return engine.build_plan_from_pipeline(intervals, keys, aggs)
+
+
+class TestFoldBatch:
+    def test_int_state_meets_floats_in_a_later_batch(self):
+        plan = engine.build_plan_from_pipeline([], ("k",), [("sum", {"col": "v"}), ("count", None)])
+        steps, outputs = engine.compile_program([{"col": "v"}, None], {"k": 0, "v": 1})
+        batches = [
+            [[0, 1, 0], [3, 4, 5]],  # integer states after this batch
+            # the exact sum for key 0 is 9, but adding in row order gives 8.0;
+            # a compensated or reversed sum gives 9.0
+            [[0, 0, 1, 0], [1.0, 1e16, 0.5, -1e16]],
+        ]
+        groups = {}
+        for batch in batches:
+            engine._fold_batch(groups, batch, [0], steps, outputs)
+            assert all(type(v) is int for state in groups.values() for v in state) == (
+                batch is batches[0]
+            )
+        folded = sorted([list(k), v] for k, v in groups.items())
+        oracle = engine.reference_execute(batches, ["k", "v"], plan)
+        assert json.dumps(folded) == json.dumps(oracle) == "[[[0], [8.0, 5]], [[1], [4.5, 2]]]"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 1), st.one_of(INTS, FLOATS, LARGE_FLOATS)),
+                min_size=1,
+                max_size=10,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_fold_equals_row_oracle(self, batch_rows):
+        # ints and floats mix within a batch and across batches
+        plan = engine.build_plan_from_pipeline([], ("k",), [("sum", {"col": "v"}), ("count", None)])
+        steps, outputs = engine.compile_program([{"col": "v"}, None], {"k": 0, "v": 1})
+        batches = [[list(col) for col in zip(*rows)] for rows in batch_rows]
+        groups = {}
+        for batch in batches:
+            engine._fold_batch(groups, batch, [0], steps, outputs)
+        folded = sorted([list(k), v] for k, v in groups.items())
+        assert json.dumps(folded) == json.dumps(engine.reference_execute(batches, ["k", "v"], plan))
 
 
 class TestColumnarFragment:

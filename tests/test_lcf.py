@@ -2,7 +2,7 @@ import struct
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lambada_lab import errors, lcf
@@ -214,6 +214,210 @@ class TestValidation:
     def test_unknown_column_lookup(self):
         with pytest.raises(errors.UnknownColumn):
             SCHEMA_XY.index_of("z")
+
+
+class TestRleBounds:
+    def _rle(self, runs):
+        data = b"".join(struct.pack("<qI", value, count) for value, count in runs)
+        meta = lcf.ColumnChunkMeta(0, len(data), 0, lcf.ENC_RLE, lcf.ColumnStats(0, 0))
+        return meta, data
+
+    def test_run_one_row_past_row_count(self):
+        meta, data = self._rle([(7, 3), (9, 2)])
+        assert lcf.decode_chunk(meta, data, lcf.INT64, 5) == [7, 7, 7, 9, 9]
+        with pytest.raises(errors.CorruptChunk, match="more than 4 rows"):
+            lcf.decode_chunk(meta, data, lcf.INT64, 4)
+
+    def test_largest_run_count_is_rejected_before_it_is_expanded(self):
+        # expanding the run first would ask for 2**32 list slots (32 GiB)
+        meta, data = self._rle([(1, 2), (5, 0xFFFFFFFF)])
+        with pytest.raises(errors.CorruptChunk, match="more than 3 rows"):
+            lcf.decode_chunk(meta, data, lcf.INT64, 3)
+
+    def test_short_runs_are_rejected(self):
+        meta, data = self._rle([(7, 3)])
+        with pytest.raises(errors.CorruptChunk, match="decoded to 3 rows, expected 4"):
+            lcf.decode_chunk(meta, data, lcf.INT64, 4)
+
+
+def naive_decode_footer(raw: bytes) -> lcf.FileFooter:
+    """Oracle: a cursor that unpacks one field at a time, checking each read."""
+    pos = 0
+
+    def take(fmt):
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(raw):
+            raise errors.CorruptFooter("footer truncated")
+        values = struct.unpack_from(fmt, raw, pos)
+        pos += size
+        return values if len(values) > 1 else values[0]
+
+    def take_bytes(n):
+        nonlocal pos
+        if pos + n > len(raw):
+            raise errors.CorruptFooter("footer truncated")
+        pos += n
+        return raw[pos - n : pos]
+
+    version = take("<H")
+    if version != lcf.FORMAT_VERSION:
+        raise errors.CorruptFooter(f"unsupported format version {version}")
+    columns = []
+    for _ in range(take("<H")):
+        name = take_bytes(take("<H")).decode("utf-8")
+        columns.append((name, take("<B")))
+    try:
+        schema = lcf.Schema(tuple(columns))
+    except ValueError as err:
+        raise errors.CorruptFooter(str(err))
+    groups = []
+    prev_end = 0
+    for _ in range(take("<I")):
+        row_count = take("<Q")
+        chunks = []
+        for _, typ in schema.columns:
+            offset, clen, ulen, encoding = take("<QQQB")
+            pack = "<q" if typ == lcf.INT64 else "<d"
+            min_v, max_v = take(pack), take(pack)
+            if min_v > max_v:
+                raise errors.CorruptFooter("chunk stats have min > max")
+            if offset < prev_end:
+                raise errors.CorruptFooter("column chunks overlap")
+            prev_end = offset + clen
+            chunks.append(
+                lcf.ColumnChunkMeta(offset, clen, ulen, encoding, lcf.ColumnStats(min_v, max_v))
+            )
+        groups.append(lcf.RowGroupMeta(row_count, tuple(chunks)))
+    if pos != len(raw):
+        raise errors.CorruptFooter("trailing bytes after footer")
+    return lcf.FileFooter(schema, tuple(groups), version)
+
+
+INT64_STATS = st.one_of(
+    st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+)
+FLOAT64_STATS = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+U64 = st.integers(min_value=0, max_value=2**40)
+
+
+@st.composite
+def footers(draw):
+    """A valid footer: 1-6 columns, 1-5 row groups, stats at the type's edges."""
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=6, unique=True))
+    types = [draw(st.sampled_from([lcf.INT64, lcf.FLOAT64])) for _ in names]
+    groups = []
+    end = 0
+    for _ in range(draw(st.integers(1, 5))):
+        chunks = []
+        for typ in types:
+            a, b = draw(st.tuples(*[INT64_STATS if typ == lcf.INT64 else FLOAT64_STATS] * 2))
+            if a > b:  # a NaN compares false either way and stays where it is
+                a, b = b, a
+            offset = end + draw(st.integers(0, 3))
+            clen = draw(st.integers(1, 2**20))
+            end = offset + clen
+            chunks.append(
+                lcf.ColumnChunkMeta(
+                    offset, clen, draw(U64), draw(st.integers(0, 255)), lcf.ColumnStats(a, b)
+                )
+            )
+        groups.append(lcf.RowGroupMeta(draw(U64), tuple(chunks)))
+    return lcf.FileFooter(lcf.Schema(tuple(zip(names, types))), tuple(groups))
+
+
+def footer_bits(footer: lcf.FileFooter):
+    """The footer with each float replaced by its bits, so NaN equals itself."""
+
+    def bits(v):
+        return struct.pack("<d", v) if isinstance(v, float) else v
+
+    return footer.schema, footer.version, [
+        (rg.row_count, [
+            (c.offset, c.compressed_len, c.uncompressed_len, c.encoding,
+             type(c.stats.min_value), bits(c.stats.min_value), bits(c.stats.max_value))
+            for c in rg.chunks
+        ])
+        for rg in footer.row_groups
+    ]
+
+
+def both_reject(raw: bytes) -> None:
+    for decode in (lcf.decode_footer, naive_decode_footer):
+        with pytest.raises(errors.CorruptFooter):
+            decode(raw)
+
+
+class TestFooterDecoder:
+    """`decode_footer` unpacks a row group with one struct; the oracle reads
+    one field at a time.  They must agree on every footer, valid or not."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(footers())
+    def test_valid_footers_decode_equal(self, footer):
+        raw = lcf.encode_footer(footer)
+        decoded = lcf.decode_footer(raw)
+        assert footer_bits(decoded) == footer_bits(naive_decode_footer(raw))
+        assert footer_bits(decoded) == footer_bits(footer)
+        assert all(isinstance(rg, lcf.RowGroupMeta) for rg in decoded.row_groups)
+
+    @settings(max_examples=30, deadline=None)
+    @given(footers())
+    def test_every_proper_prefix_and_a_trailing_byte_are_rejected(self, footer):
+        raw = lcf.encode_footer(footer)
+        for end in range(len(raw)):
+            both_reject(raw[:end])
+        both_reject(raw + b"\x00")
+
+    @settings(max_examples=50, deadline=None)
+    @given(footers(), st.data())
+    def test_min_above_max_is_rejected(self, footer, data):
+        g = data.draw(st.integers(0, len(footer.row_groups) - 1))
+        c = data.draw(st.integers(0, len(footer.schema) - 1))
+        low, high = (1, 2) if footer.schema.columns[c][1] == lcf.INT64 else (-0.5, 0.0)
+        rg = footer.row_groups[g]
+        chunk = rg.chunks[c]._replace(stats=lcf.ColumnStats(high, low))
+        chunks = rg.chunks[:c] + (chunk,) + rg.chunks[c + 1 :]
+        groups = footer.row_groups[:g] + (rg._replace(chunks=chunks),) + footer.row_groups[g + 1 :]
+        both_reject(lcf.encode_footer(lcf.FileFooter(footer.schema, groups)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(footers(), st.data())
+    def test_overlapping_chunk_is_rejected(self, footer, data):
+        flat = [c for rg in footer.row_groups for c in rg.chunks]
+        assume(len(flat) > 1)
+        k = data.draw(st.integers(1, len(flat) - 1))
+        prev = flat[k - 1]
+        back = data.draw(st.integers(1, prev.compressed_len))
+        flat[k] = flat[k]._replace(offset=prev.offset + prev.compressed_len - back)
+        ncols = len(footer.schema)
+        groups = tuple(
+            rg._replace(chunks=tuple(flat[g * ncols : (g + 1) * ncols]))
+            for g, rg in enumerate(footer.row_groups)
+        )
+        both_reject(lcf.encode_footer(lcf.FileFooter(footer.schema, groups)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(footers(), st.integers(0, 0xFFFF).filter(lambda v: v != lcf.FORMAT_VERSION))
+    def test_bad_version_is_rejected(self, footer, version):
+        raw = lcf.encode_footer(footer)
+        both_reject(struct.pack("<H", version) + raw[2:])
+
+    @pytest.mark.parametrize("columns", [(), (("x", 7),), (("x", 0), ("x", 1))])
+    def test_bad_schema_is_rejected(self, columns):
+        raw = struct.pack("<HH", lcf.FORMAT_VERSION, len(columns))
+        for name, typ in columns:
+            raw += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", typ)
+        both_reject(raw + struct.pack("<I", 0))
+
+    def test_column_name_that_is_not_utf8_is_rejected(self):
+        raw = struct.pack("<HHH", lcf.FORMAT_VERSION, 1, 1) + b"\xff" + struct.pack("<BI", 0, 0)
+        with pytest.raises(errors.CorruptFooter, match="not UTF-8"):
+            lcf.decode_footer(raw)
 
 
 class TestRangedFooterRead:
