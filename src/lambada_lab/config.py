@@ -26,9 +26,6 @@ REGION_PROFILES = {
     "ap": (536, 222, 81),
 }
 
-# Historic per-bucket rate limits (reads/s, writes/s) before mid-2018.
-HISTORIC_RATE_LIMITS = (800, 300)
-
 
 def _frac(value: str | float | int | Fraction) -> Fraction:
     if isinstance(value, Fraction):
@@ -89,10 +86,6 @@ class SimConfig:
             driver_invoke_rate_per_s=Fraction(driver_rate),
             worker_invoke_rate_per_s=Fraction(worker_rate),
         )
-
-    def with_historic_limits(self) -> "SimConfig":
-        reads, writes = HISTORIC_RATE_LIMITS
-        return replace(self, bucket_read_limit_per_s=reads, bucket_write_limit_per_s=writes)
 
     def updated(self, **kwargs) -> "SimConfig":
         return replace(self, **kwargs)

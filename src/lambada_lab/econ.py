@@ -68,19 +68,6 @@ def job_scoped_curve(data_bytes: int, profile: ResourceProfile, unit_counts):
     ]
 
 
-def pareto_front(curve):
-    """(units, latency, cost) points not dominated in both latency and cost."""
-    front = []
-    for point in curve:
-        _, lat, cost = point
-        if not any(
-            (l2 <= lat and c2 <= cost and (l2 < lat or c2 < cost))
-            for _, l2, c2 in curve
-        ):
-            front.append(point)
-    return front
-
-
 def min_cost(data_bytes: int, profile: ResourceProfile, unit_counts) -> Fraction:
     return min(c for _, _, c in job_scoped_curve(data_bytes, profile, unit_counts))
 

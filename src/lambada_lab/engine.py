@@ -173,14 +173,6 @@ def build_plan_from_pipeline(filter_intervals, group_keys, aggregates):
     ]
 
 
-def plan_pretty(plan) -> str:
-    lines = []
-    for op in plan:
-        detail = {k: v for k, v in op.items() if k not in ("op", "scope")}
-        lines.append(f"[{op['scope']}] {op['op']} {json.dumps(detail, sort_keys=True)}")
-    return "\n".join(lines)
-
-
 def _plan_op(plan, name):
     for op in plan:
         if op["op"] == name:
@@ -274,6 +266,15 @@ def merge_partials(partials):
 
 @dataclass
 class QueryReport:
+    """One query's virtual times and its own share of the bill.
+
+    `latency_us` runs from the driver's start to the last partial received.
+    The driver receives results while it still invokes workers, so
+    `collect_us` is only the part of the collect left after the invocation
+    plan ends: the virtual time from the end of `invoke.run_plan` to the last
+    partial (0 if every partial came in before).
+    """
+
     workers: int
     latency_us: int
     invoke_makespan_us: int
@@ -340,9 +341,27 @@ def execute(
 
     inv_plan = invoke.build_plan(W, strategy)
 
+    def collect(driver):
+        """Receive every worker's partial in queue order."""
+        partials = []
+        while len(partials) < W:
+            for raw in (yield from queue.poll(driver)):
+                message = json.loads(raw)
+                if message["status"] != "ok":
+                    raise errors.WorkerError(
+                        message["worker"], message["kind"], message["message"]
+                    )
+                if "spilled" in message:
+                    spill_bucket, key = message["spilled"]
+                    raw = yield from sim.store.get_object(driver, spill_bucket, key)
+                    message = json.loads(bytes(raw))
+                partials.append(message["partial"])
+        return partials
+
     def main():
         start, before = sim.loop.now, sim.ledger.snapshot()
-        driver = sim.driver()
+        # the driver receives while its workers are still being invoked
+        collector = sim.loop.spawn(collect(sim.driver()), name="collect")
         inv_report = yield from invoke.run_plan(
             sim,
             inv_plan,
@@ -351,18 +370,7 @@ def execute(
             payload_extra=lambda wid: {"paths": shares[wid]},
         )
         collect_start = sim.loop.now
-        partials = []
-        for _ in range(W):
-            message = json.loads((yield from queue.poll(driver)))
-            if message["status"] != "ok":
-                raise errors.WorkerError(
-                    message["worker"], message["kind"], message["message"]
-                )
-            if "spilled" in message:
-                spill_bucket, key = message["spilled"]
-                raw = yield from sim.store.get_object(driver, spill_bucket, key)
-                message = json.loads(bytes(raw))
-            partials.append(message["partial"])
+        partials = yield collector
         rows = merge_partials(partials)
         end = sim.loop.now
         bill = sim.ledger.delta_since(before)

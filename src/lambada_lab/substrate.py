@@ -24,6 +24,7 @@ MEMORY_MIB_MIN = 128
 MEMORY_MIB_MAX = 3008
 # A cold container runs its first invocation this much slower.
 COLD_START_PENALTY_FACTOR = Fraction(6, 5)
+RECEIVE_MAX_MESSAGES = 10  # SQS ReceiveMessage's MaxNumberOfMessages cap
 
 
 def cpu_throughput(memory_mib: int, threads: int) -> Fraction:
@@ -341,7 +342,12 @@ class ObjectStore:
 
 
 class MessageQueue:
-    """FIFO queue with virtual poll latency (result-queue style)."""
+    """FIFO queue with virtual receive latency (result-queue style).
+
+    A receive returns a batch of up to `RECEIVE_MAX_MESSAGES` messages,
+    oldest first, for one `queue_poll_latency_ms`, as an SQS ReceiveMessage
+    with MaxNumberOfMessages does.
+    """
 
     def __init__(self, sim: "CloudSim", name: str):
         self.sim = sim
@@ -357,27 +363,35 @@ class MessageQueue:
             self._messages.append(message)
 
     def poll(self, ctx: HostContext, timeout_us: int | None = None) -> Generator:
-        latency = self.sim.cfg.queue_poll_latency_ms * US_PER_MS
-        if self._messages:
-            yield Sleep(latency)
-            return self._messages.popleft()
-        fut = Future()
-        self._waiters.append(fut)
-        if timeout_us is not None:
-            deadline = self.sim.loop.now + timeout_us
+        """Receive a list of messages, oldest first; returns the list.
 
-            def expire():
-                if not fut.done:
-                    try:
-                        self._waiters.remove(fut)
-                    except ValueError:
-                        pass
-                    fut.set_error(errors.Timeout(f"queue {self.name}: no message within timeout"))
+        On an empty queue the receive waits for the first message (or raises
+        `Timeout` once `timeout_us` has passed).  It then takes the latency
+        and fills the batch with whatever is queued by then.  The list is
+        empty only if another receiver drained the queue during the latency.
+        """
+        batch = []
+        if not self._messages:
+            fut = Future()
+            self._waiters.append(fut)
+            if timeout_us is not None:
+                deadline = self.sim.loop.now + timeout_us
 
-            self.sim.loop.call_at(deadline, expire)
-        message = yield fut
-        yield Sleep(latency)
-        return message
+                def expire():
+                    if not fut.done:
+                        try:
+                            self._waiters.remove(fut)
+                        except ValueError:
+                            pass
+                        fut.set_error(errors.Timeout(f"queue {self.name}: no message within timeout"))
+
+                self.sim.loop.call_at(deadline, expire)
+            batch.append((yield fut))
+        yield Sleep(self.sim.cfg.queue_poll_latency_ms * US_PER_MS)
+        messages = self._messages
+        for _ in range(min(RECEIVE_MAX_MESSAGES - len(batch), len(messages))):
+            batch.append(messages.popleft())
+        return batch
 
 
 @dataclass

@@ -112,7 +112,7 @@ def test_bench_reruns_are_byte_identical(tmp_path):
 
 # SHA-256 over the names and bytes of every CSV the runs below write; any
 # change to a simulated latency, request count or dollar figure moves it.
-GOLDEN_BENCH_SHA256 = "fdd2670c3bcb263b51e04924bfffcdbb8a5967f85104403f8af11c3ef601618b"
+GOLDEN_BENCH_SHA256 = "44cd9393f05e58481af291038edf0ab6b7c8fbf5c3d646a2800f300a710453b1"
 
 
 def test_bench_outputs_match_golden_digest(tmp_path):

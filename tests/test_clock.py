@@ -242,7 +242,7 @@ class TestEventCount:
         keys = datagen.gen(sim, spec, 7)
         plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
         sim.loop.run_task(engine.execute(sim, plan, keys, strategy=invoke.TWO_LEVEL))
-        assert len(scheduled) == 520
+        assert len(scheduled) == 519
         assert self.digest(scheduled) == (
-            "416aa80a878731753934e6be7a96974eb801faec57e6db4c08a443690273bd33"
+            "ce0165ec0c76e6b577a754c8397fab138ebf5a72f221efad9764872fdc60d9e9"
         )

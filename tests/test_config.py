@@ -7,7 +7,6 @@ import pytest
 from lambada_lab import errors
 from lambada_lab.config import (
     ENV_CONFIG_VAR,
-    HISTORIC_RATE_LIMITS,
     REGION_PROFILES,
     SimConfig,
     load_config,
@@ -58,11 +57,6 @@ def test_parse_rejects_bad_line():
 def test_unknown_region():
     with pytest.raises(errors.ConfigError):
         SimConfig().with_region("moon")
-
-
-def test_historic_limits():
-    cfg = SimConfig().with_historic_limits()
-    assert (cfg.bucket_read_limit_per_s, cfg.bucket_write_limit_per_s) == HISTORIC_RATE_LIMITS
 
 
 def test_load_config_from_env(tmp_path, monkeypatch):

@@ -39,14 +39,6 @@ class TestJobScoped:
         vm = econ.min_cost(TB, econ.VM_PROFILE, units)
         assert faas / vm >= 8
 
-    def test_pareto_front_nonempty_and_sorted(self):
-        units = [1, 2, 4, 8, 16]
-        curve = econ.job_scoped_curve(TB, econ.FAAS_PROFILE, units)
-        front = econ.pareto_front(curve)
-        assert front
-        lats = [lat for _, lat, _ in front]
-        assert lats == sorted(lats, reverse=True)
-
     def test_bad_units(self):
         with pytest.raises(ValueError):
             econ.job_scoped_point(TB, econ.FAAS_PROFILE, 0)

@@ -9,6 +9,7 @@ from lambada_lab.billing import READ, WRITE, LIST
 from lambada_lab.clock import AllOf, Sleep, US_PER_S
 from lambada_lab.config import MIB, SimConfig
 from lambada_lab.substrate import (
+    RECEIVE_MAX_MESSAGES,
     CloudSim,
     FunctionSpec,
     Nic,
@@ -554,6 +555,8 @@ class TestFaaS:
 
 
 class TestQueue:
+    LATENCY_US = 10_000  # queue_poll_latency_ms
+
     def test_send_then_poll_roundtrip(self):
         sim = make_sim()
         ctx = sim.driver()
@@ -564,7 +567,8 @@ class TestQueue:
             msg = yield from q.poll(ctx)
             return msg
 
-        assert run(sim, main()) == b"payload"
+        assert run(sim, main()) == [b"payload"]
+        assert sim.ledger.total_usd == 0  # queue traffic is not billed
 
     def test_poll_timeout_is_exact(self):
         sim = make_sim()
@@ -593,14 +597,60 @@ class TestQueue:
         def main():
             for i in range(320):
                 sim.loop.spawn(sender(i))
-            got = []
+            batches = []
             ctx = sim.driver()
-            for _ in range(320):
-                got.append((yield from q.poll(ctx)))
-            return got
+            while sum(map(len, batches)) < 320:
+                batches.append((yield from q.poll(ctx)))
+            return batches
 
-        got = run(sim, main())
-        assert got == sent
+        batches = run(sim, main())
+        assert [m for b in batches for m in b] == sent
+        assert max(map(len, batches)) == RECEIVE_MAX_MESSAGES
+
+    def test_waking_message_counts_toward_the_batch(self):
+        # the receive waits on an empty queue; 12 messages land at once and
+        # the one that wakes it fills the batch along with 9 of the rest
+        sim = make_sim()
+        q = sim.queue("results")
+
+        def sender(i):
+            yield from q.send(sim.driver(f"w{i}"), i)
+
+        def main():
+            ctx = sim.driver()
+            for i in range(12):
+                sim.loop.spawn(sender(i))
+            first = yield from q.poll(ctx)
+            second = yield from q.poll(ctx)
+            return first, second, sim.loop.now
+
+        first, second, now = run(sim, main())
+        assert (first, second) == (list(range(10)), [10, 11])
+        assert now == 3 * self.LATENCY_US  # send, then two receives
+
+    @pytest.mark.parametrize("queued", [1, 10, 25, 30])
+    def test_draining_a_full_queue_takes_one_latency_per_batch(self, queued):
+        sim = make_sim()
+        q = sim.queue("results")
+        ctx = sim.driver()
+
+        def main():
+            for i in range(queued):
+                sim.loop.spawn(q.send(sim.driver(f"w{i}"), i))
+            yield Sleep(self.LATENCY_US + 1)  # every message is queued now
+            assert len(q._messages) == queued
+            start, got, receives = sim.loop.now, [], 0
+            while len(got) < queued:
+                batch = yield from q.poll(ctx)
+                assert len(batch) <= RECEIVE_MAX_MESSAGES
+                got.extend(batch)
+                receives += 1
+            return got, receives, sim.loop.now - start
+
+        got, receives, elapsed = run(sim, main())
+        assert got == list(range(queued))
+        assert receives == math.ceil(queued / RECEIVE_MAX_MESSAGES)
+        assert elapsed == receives * self.LATENCY_US
 
 
 class TestLedger:
