@@ -184,12 +184,13 @@ def bench_scan_sweep(cfg: SimConfig, args, outdir: Path) -> list[str]:
 
 def bench_econ(cfg: SimConfig, args, outdir: Path) -> list[str]:
     units = [2**i for i in range(15)]
+    faas = econ.faas_profile(cfg)
     lines = [econ.CURVE_CSV_HEADER]
-    for profile in (econ.FAAS_PROFILE, econ.VM_PROFILE):
+    for profile in (faas, econ.VM_PROFILE):
         curve = econ.job_scoped_curve(args.data_bytes, profile, units)
         lines.extend(econ.curve_to_csv(profile.kind, curve))
     _write(outdir, "econ-curves.csv", lines)
-    per_query_faas = econ.min_cost(args.data_bytes, econ.FAAS_PROFILE, units)
+    per_query_faas = econ.min_cost(args.data_bytes, faas, units)
     per_query_qaas = econ.qaas_query_cost([args.data_bytes], econ.QaaSPricing())
     rows = ["preset,hourly_usd,crossover_vs_faas_per_hr,crossover_vs_qaas_per_hr"]
     for preset in econ.ALWAYS_ON_PRESETS:

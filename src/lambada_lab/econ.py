@@ -1,9 +1,9 @@
 """Cost/latency economics: job-scoped scaling curves, always-on crossover
 rates, and pay-per-byte query pricing.
 
-Instance bandwidths and prices below are editable assumptions, not measured
-values; the shapes (asymptotes, crossovers, pareto fronts) are what the
-models guarantee.
+The FaaS profile takes its price and bandwidth from `SimConfig`; the VM and
+instance figures below are editable assumptions, not measured values.  The
+shapes (asymptotes, crossovers) are what the models guarantee.
 """
 
 from __future__ import annotations
@@ -12,6 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
+from .billing import PriceSheet
+from .config import SimConfig
+from .substrate import FunctionSpec
 
 TIB = 1024**4
 MIB = 1024**2
@@ -34,13 +37,12 @@ class ResourceProfile:
             raise ValueError("startup must be >= 0, price and bandwidth > 0")
 
 
-# 2 GiB function reading from the object store at its steady per-host rate.
-FAAS_PROFILE = ResourceProfile(
-    FAAS,
-    startup_s=Fraction(4),
-    scan_mib_per_s=Fraction(90),
-    unit_usd_per_s=Fraction("3.3e-5") * 2,
-)
+def faas_profile(cfg: SimConfig) -> ResourceProfile:
+    """A default (2 GiB) function at the simulator's worker price and steady scan rate."""
+    price = PriceSheet.from_config(cfg).worker_rate(FunctionSpec().memory_mib)
+    return ResourceProfile(
+        FAAS, startup_s=Fraction(4), scan_mib_per_s=cfg.steady_mib_per_s, unit_usd_per_s=price
+    )
 
 # assumption: large NVMe-backed instance, ~2.2 GiB/s effective scan rate
 VM_PROFILE = ResourceProfile(

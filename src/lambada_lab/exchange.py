@@ -18,16 +18,12 @@ from itertools import accumulate
 from math import gcd
 
 from .billing import LIST, READ, WRITE
-from .clock import AllOf, Sleep, US_PER_MS
+from .clock import AllOf, Future
 from .substrate import HostContext, ZeroBlob
 
 WC_OFF = "off"
 WC_OFFSETS_IN_NAME = "offsets_in_name"
 _WC_MODES = (WC_OFF, WC_OFFSETS_IN_NAME)
-
-# how often a receiver re-checks whether a bucket's offsets-in-name files of a
-# round are all written (a free existence poll)
-PREFIX_POLL_US = 5 * US_PER_MS
 
 
 def ceil_root(P: int, k: int) -> int:
@@ -161,8 +157,15 @@ class _ExchangeRun:
                 )
         self.senders = [sender_map(P, level, self.s) for level in range(cfg.levels)]
         self.bucket_of = [self.naming.bucket(q) for q in range(P)]  # worker -> its bucket
-        self.owners = Counter(self.bucket_of)  # senders per bucket
-        self.written: Counter = Counter()  # (level, bucket) -> offsets-in-name files put
+        # puts still to come per destination: (level, receiver) without write
+        # combining, (level, bucket) with offsets in the name; its Future
+        # resolves at the last put, which ends the receivers' free wait
+        if cfg.write_combining == WC_OFF:
+            self.pending = {(level, p): len(m[p]) for level, m in enumerate(self.senders) for p in m}
+        else:
+            owners = Counter(self.bucket_of)
+            self.pending = {(level, b): n for level in range(cfg.levels) for b, n in owners.items()}
+        self.arrived = {dest: Future() for dest in self.pending}
         self.listed: dict = {}  # (level, bucket) -> {sender: (key, offsets)}
         self.trace: list[PhaseTrace] = []
 
@@ -211,11 +214,17 @@ class _ExchangeRun:
                 key = naming.plain_key(level, p, target)
                 blob = data[offsets[c] : offsets[c + 1]]
                 yield from store.put_object(ctx, self.bucket_of[target], key, blob)
+                self._put_done((level, target))
             return
         bucket = self.bucket_of[p]
         key = naming.in_name_key(level, p, offsets)
         yield from store.put_object(ctx, bucket, key, data)
-        self.written[level, bucket] += 1
+        self._put_done((level, bucket))
+
+    def _put_done(self, dest) -> None:
+        self.pending[dest] -= 1
+        if not self.pending[dest]:
+            self.arrived[dest].set_result(None)
 
     def receive_level(self, ctx, p: int, level: int):
         """Wait for and read this worker's inbound payloads; returns blobs.
@@ -227,12 +236,12 @@ class _ExchangeRun:
         blobs = []
         if cfg.write_combining == WC_OFF:
             bucket = bucket_of[p]
-            keys = [naming.plain_key(level, q, p) for q, _ in my_senders]
             t0 = sim.loop.now
-            for key in keys:
-                yield from sim.store.wait_for_object(bucket, key)
+            if not self.arrived[level, p].done:
+                yield self.arrived[level, p]
             wait_us = sim.loop.now - t0
-            for key in keys:
+            for q, _ in my_senders:
+                key = naming.plain_key(level, q, p)
                 blobs.append((yield from sim.store.get_object(ctx, bucket, key)))
             return blobs, wait_us
         # offsets in name: wait until every sender sharing a bucket with one
@@ -241,8 +250,8 @@ class _ExchangeRun:
         prefix = f"l{level}/s"
         t0 = sim.loop.now
         for bucket in sorted({bucket_of[q] for q, _ in my_senders}):
-            while self.written[level, bucket] < self.owners[bucket]:
-                yield Sleep(PREFIX_POLL_US)
+            if not self.arrived[level, bucket].done:
+                yield self.arrived[level, bucket]
             keys = yield from sim.store.list_objects(ctx, bucket, prefix)
             if (level, bucket) not in self.listed:
                 index = self.listed[level, bucket] = {}

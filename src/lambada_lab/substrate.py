@@ -198,20 +198,12 @@ class Bucket:
         self.keys: list[str] = []  # the keys of `objects`, sorted: the LIST index
         self.read_limiter = RateLimiter(cfg.bucket_read_limit_per_s)
         self.write_limiter = RateLimiter(cfg.bucket_write_limit_per_s)
-        self._waiters: dict[str, list[Future]] = {}
 
     def write(self, key: str, data) -> None:
-        """Store `data` under `key`, index a new key and wake its waiters."""
+        """Store `data` under `key` and index a new key."""
         if key not in self.objects:
             insort(self.keys, key)
         self.objects[key] = data
-        for fut in self._waiters.pop(key, ()):
-            fut.set_result(None)
-
-    def waiter(self, key: str) -> Future:
-        fut = Future()
-        self._waiters.setdefault(key, []).append(fut)
-        return fut
 
 
 class ObjectStore:
@@ -333,13 +325,6 @@ class ObjectStore:
         upper = stem[:-1] + chr(ord(stem[-1]) + 1)
         return keys[lo : bisect_left(keys, upper, lo)]
 
-    def wait_for_object(self, bucket: str, key: str) -> Generator:
-        """Suspend until `key` exists.  Free: models a well-tuned existence poll."""
-        b = self.bucket(bucket)
-        if key in b.objects:
-            return
-        yield b.waiter(key)
-
 
 class MessageQueue:
     """FIFO queue with virtual receive latency (result-queue style).
@@ -353,12 +338,12 @@ class MessageQueue:
         self.sim = sim
         self.name = name
         self._messages: deque = deque()
-        self._waiters: deque[Future] = deque()
+        self._receives: deque[Future] = deque()
 
     def send(self, ctx: HostContext, message) -> Generator:
         yield Sleep(self.sim.cfg.queue_poll_latency_ms * US_PER_MS)
-        if self._waiters:
-            self._waiters.popleft().set_result(message)
+        if self._receives:
+            self._receives.popleft().set_result(message)
         else:
             self._messages.append(message)
 
@@ -373,14 +358,14 @@ class MessageQueue:
         batch = []
         if not self._messages:
             fut = Future()
-            self._waiters.append(fut)
+            self._receives.append(fut)
             if timeout_us is not None:
                 deadline = self.sim.loop.now + timeout_us
 
                 def expire():
                     if not fut.done:
                         try:
-                            self._waiters.remove(fut)
+                            self._receives.remove(fut)
                         except ValueError:
                             pass
                         fut.set_error(errors.Timeout(f"queue {self.name}: no message within timeout"))

@@ -293,7 +293,7 @@ def test_c10_economics_shape():
     assert econ.always_on_crossover(hourly, per_query) == hourly / per_query
     data = 10**12
     units = 2**20
-    faas_lat, _ = econ.job_scoped_point(data, econ.FAAS_PROFILE, units)
+    faas_lat, _ = econ.job_scoped_point(data, econ.faas_profile(SimConfig()), units)
     assert faas_lat == 4 + Fraction(data, units * 90 * MIB)  # -> 4 s asymptote
     vm_lat, _ = econ.job_scoped_point(data, econ.VM_PROFILE, units)
     assert vm_lat == 120 + Fraction(data, units * 2200 * MIB)  # -> 120 s

@@ -92,6 +92,23 @@ def test_bench_econ_outputs(tmp_path):
     assert len(crossover) == 4
 
 
+def test_bench_econ_prices_faas_from_config(tmp_path):
+    conf = tmp_path / "lab.conf"
+    conf.write_text("worker_usd_per_gib_second = 3.3e-5\n")  # twice the default
+    run_cli("bench", "econ", "-o", str(tmp_path / "default"))
+    run_cli("--config", str(conf), "bench", "econ", "-o", str(tmp_path / "doubled"))
+
+    def curves(name):
+        lines = (tmp_path / name / "econ-curves.csv").read_text().splitlines()[1:]
+        return [line.split(",") for line in lines]
+
+    default, doubled = curves("default"), curves("doubled")
+    assert [row[:3] for row in doubled] == [row[:3] for row in default]
+    for old, new in zip(default, doubled):
+        ratio = float(new[3]) / float(old[3])
+        assert abs(ratio - (2 if old[0] == "faas" else 1)) < 1e-5
+
+
 def test_config_flag_feeds_simulation(tmp_path, capsys):
     conf = tmp_path / "lab.conf"
     conf.write_text("driver_invoke_rate_per_s = 125\n")
@@ -112,7 +129,7 @@ def test_bench_reruns_are_byte_identical(tmp_path):
 
 # SHA-256 over the names and bytes of every CSV the runs below write; any
 # change to a simulated latency, request count or dollar figure moves it.
-GOLDEN_BENCH_SHA256 = "44cd9393f05e58481af291038edf0ab6b7c8fbf5c3d646a2800f300a710453b1"
+GOLDEN_BENCH_SHA256 = "a1b0d65009b36ec531c54f5d1bb104eed3cd480b3cc3e831bbf5b6da3c91f070"
 
 
 def test_bench_outputs_match_golden_digest(tmp_path):

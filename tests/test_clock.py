@@ -225,15 +225,24 @@ class TestEventCount:
     def digest(times):
         return hashlib.sha256(repr(times).encode()).hexdigest()
 
-    def test_offsets_in_name_exchange(self, scheduled):
+    @staticmethod
+    def run_exchange(mode):
         sim = CloudSim(SimConfig())
-        cfg = exchange.ExchangeConfig(
-            levels=2, write_combining=exchange.WC_OFFSETS_IN_NAME, num_buckets=3
-        )
+        cfg = exchange.ExchangeConfig(levels=2, write_combining=mode, num_buckets=3)
         sim.loop.run_task(exchange.run_synthetic_exchange(sim, 16, 10**9, cfg))
+
+    def test_offsets_in_name_exchange(self, scheduled):
+        self.run_exchange(exchange.WC_OFFSETS_IN_NAME)
         assert len(scheduled) == 462
         assert self.digest(scheduled) == (
-            "4819b68fc262c05495f408542c60c0663f6e14a034b2e7ae25254475c3f86fa4"
+            "bb3326cbce01bbf35a208e662ee4d68811adf224f5ca381f1db0a1e09e5a6a56"
+        )
+
+    def test_wc_off_exchange(self, scheduled):
+        self.run_exchange(exchange.WC_OFF)
+        assert len(scheduled) == 530
+        assert self.digest(scheduled) == (
+            "e9a6edb1403aafced3c693a844555bdfb126065c53ec21643dd793efbd127514"
         )
 
     def test_two_level_query(self, scheduled):

@@ -5,19 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambada_lab import econ, errors
+from lambada_lab.config import SimConfig
 
 TB = 10**12
+FAAS = econ.faas_profile(SimConfig())
 
 
 class TestJobScoped:
     def test_single_unit_closed_form(self):
-        lat, cost = econ.job_scoped_point(TB, econ.FAAS_PROFILE, 1)
+        lat, cost = econ.job_scoped_point(TB, FAAS, 1)
         assert lat == 4 + Fraction(TB, 90 * econ.MIB)
-        assert cost == lat * econ.FAAS_PROFILE.unit_usd_per_s
+        assert cost == lat * FAAS.unit_usd_per_s
 
     def test_latency_decreases_towards_startup_asymptote(self):
         units = [2**i for i in range(15)]
-        curve = econ.job_scoped_curve(TB, econ.FAAS_PROFILE, units)
+        curve = econ.job_scoped_curve(TB, FAAS, units)
         lats = [lat for _, lat, _ in curve]
         assert all(a > b for a, b in zip(lats, lats[1:]))
         assert lats[-1] > 4
@@ -29,19 +31,19 @@ class TestJobScoped:
 
     def test_cost_eventually_increases(self):
         units = [2**i for i in range(15)]
-        costs = [c for _, _, c in econ.job_scoped_curve(TB, econ.FAAS_PROFILE, units)]
+        costs = [c for _, _, c in econ.job_scoped_curve(TB, FAAS, units)]
         assert costs[-1] > min(costs)
         assert costs[-1] > costs[-2]
 
     def test_vm_min_cost_roughly_order_of_magnitude_cheaper(self):
         units = [2**i for i in range(12)]
-        faas = econ.min_cost(TB, econ.FAAS_PROFILE, units)
+        faas = econ.min_cost(TB, FAAS, units)
         vm = econ.min_cost(TB, econ.VM_PROFILE, units)
         assert faas / vm >= 8
 
     def test_bad_units(self):
         with pytest.raises(ValueError):
-            econ.job_scoped_point(TB, econ.FAAS_PROFILE, 0)
+            econ.job_scoped_point(TB, FAAS, 0)
 
 
 class TestAlwaysOn:

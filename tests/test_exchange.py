@@ -232,7 +232,7 @@ class TestWriteCombining:
             sim.loop.run_task(exchange.run_exchange(sim, inputs, cfg))
 
     @pytest.mark.parametrize("mode", exchange._WC_MODES)
-    def test_slow_sender_shows_as_receiver_wait(self, mode):
+    def test_slow_sender_shows_as_receiver_wait(self, monkeypatch, mode):
         P, slow = 4, 0
 
         def ctx_factory(p):
@@ -242,16 +242,65 @@ class TestWriteCombining:
             return ctx
 
         sim = fresh_sim()
+        store = sim.store
+        landed = {}  # key -> virtual time its put finished
+        first_read = {}  # host -> virtual time it sent its first GET or LIST
+        put, get, list_ = store.put_object, store.get_object, store.list_objects
+
+        def logged_put(ctx, bucket, key, data):
+            yield from put(ctx, bucket, key, data)
+            landed[key] = sim.loop.now
+
+        def logged(read):
+            def call(ctx, *args):
+                first_read.setdefault(ctx.name, sim.loop.now)
+                return (yield from read(ctx, *args))
+
+            return call
+
+        monkeypatch.setattr(store, "put_object", logged_put)
+        monkeypatch.setattr(store, "get_object", logged(get))
+        monkeypatch.setattr(store, "list_objects", logged(list_))
         cfg = exchange.ExchangeConfig(levels=1, write_combining=mode)
         _, trace = sim.loop.run_task(
             exchange.run_exchange(sim, make_inputs(P, 8), cfg, ctx_factory=ctx_factory)
         )
         receivers = [t for t in trace if t.worker != slow]
-        assert receivers and all(t.wait_us > 0 for t in receivers)
+        assert len(receivers) == P - 1 and all(t.wait_us > 0 for t in receivers)
+        # each receiver's wait ends at the very instant the slow sender's
+        # file for it lands: its first read goes out then
+        naming = exchange.NamingScheme(cfg.bucket_prefix, cfg.num_buckets)
+        for t in receivers:
+            if mode == exchange.WC_OFF:
+                key = naming.plain_key(0, slow, t.worker)
+            else:
+                (key,) = [k for k in landed if k.startswith(f"l0/s{slow}-")]
+            assert first_read[f"xw{t.worker}"] == landed[key]
         # waiting is free: still one GET per inbound file
         variant = "1l-wc" if mode == exchange.WC_OFFSETS_IN_NAME else "1l"
         row = exchange.exchange_cost(P, variant, sim.prices)
         assert (sim.ledger.count(READ), sim.ledger.count(WRITE)) == (row.reads, row.writes)
+
+    @pytest.mark.parametrize("mode", exchange._WC_MODES)
+    def test_failed_sender_ends_the_run(self, mode):
+        # a sender whose first request fails never writes; its receivers must
+        # not wait for it forever, and its error must surface
+        P, broken = 4, 0
+
+        def ctx_factory(p):
+            ctx = HostContext(sim, f"xw{p}")
+            if p == broken:
+                ctx.first_byte_latency_us = -1  # Sleep refuses negative time
+            return ctx
+
+        sim = fresh_sim()
+        cfg = exchange.ExchangeConfig(levels=1, write_combining=mode)
+        with pytest.raises(RuntimeError, match="never completed") as info:
+            sim.loop.run_task(
+                exchange.run_exchange(sim, make_inputs(P, 8), cfg, ctx_factory=ctx_factory)
+            )
+        cause = info.value.__cause__
+        assert isinstance(cause, ValueError) and "negative time" in str(cause)
 
     def test_in_name_key_round_trip(self):
         naming = exchange.NamingScheme("xchg", 1)
@@ -355,7 +404,7 @@ class TestOffsetsInNameKeys:
     # (GET, PUT, LIST) counts pinned here
     @pytest.mark.parametrize(
         "P,levels,buckets,makespan_us,counts",
-        [(16, 2, 3, 2_979_100, (128, 32, 96)), (27, 3, 2, 2_729_757, (243, 81, 162))],
+        [(16, 2, 3, 2_969_100, (128, 32, 96)), (27, 3, 2, 2_714_757, (243, 81, 162))],
     )
     def test_each_key_parsed_once_per_run(
         self, monkeypatch, P, levels, buckets, makespan_us, counts
@@ -408,7 +457,7 @@ class TestBucketSharding:
 class TestPhaseTrace:
     # SHA-256 over every phase row of P=16 two-level runs in each
     # write-combining mode over 1 and 3 buckets; pins the trace's stamps
-    TRACE_SHA256 = "8fd40a2e56f363e56d8580845a99b7472033a88f39deac6486ee49901cded12f"
+    TRACE_SHA256 = "4190b7494543236b720b8834593d8641042941939d94f95badde27c2d1022149"
 
     def test_phase_rows_are_pinned(self):
         rows = []
@@ -432,7 +481,7 @@ class TestExchangeDigest:
     # SHA-256 over both operators' outputs, ledgers, phase rows and end
     # times, for each write-combining mode, P in {1, 5, 9, 16, 27}, 1-3
     # levels and 1 or 3 buckets; pins the exchange byte for byte
-    EXCHANGE_SHA256 = "8e77f1e0771ec38a944da2bc9d6d59e975f212f83c3eb4b22edb5390d4b91789"
+    EXCHANGE_SHA256 = "10708a4aef3ae2f15ca8e0c9db815918a29b224357a0653378dfa414aae49788"
 
     def test_exchange_is_pinned(self):
         digest = hashlib.sha256()

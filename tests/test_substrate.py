@@ -182,30 +182,6 @@ class TestObjectStore:
         with pytest.raises(errors.Throttled):
             run(sim, hammer())
 
-    def test_wait_for_object_resumes_on_put(self):
-        sim = make_sim()
-        ctx = sim.driver()
-        sim.store.create_bucket("b")
-
-        def late_writer():
-            yield Sleep(500_000)
-            yield from sim.store.put_object(ctx, "b", "k", b"data")
-
-        def reader():
-            yield from sim.store.wait_for_object("b", "k")
-            data = yield from sim.store.get_object(ctx, "b", "k")
-            return data, sim.loop.now
-
-        def main():
-            sim.loop.spawn(late_writer())
-            result = yield sim.loop.spawn(reader())
-            return result
-
-        data, t = run(sim, main())
-        assert data == b"data"
-        assert t > 500_000
-        assert sim.ledger.count(READ, "b") == 1  # exactly one billed GET
-
 
 class TestBandwidth:
     def test_single_connection_chunk_throughput(self):
