@@ -145,6 +145,11 @@ def build_plan_from_pipeline(filter_intervals, group_keys, aggregates):
     `filter_intervals`: [(column, lo, hi)] conjunction, pushed into the scan.
     `group_keys`: column names (may be empty for a global aggregate).
     `aggregates`: [("sum", expr) | ("count", None)].
+
+    The projection is the columns that keys and aggregates read; a column
+    only the filter reads is left to the scan, which fetches it only where a
+    row group's stats leave its interval open.  A plan that reads no column
+    (count only) projects its filter columns.
     """
     used: set[str] = set(group_keys)
     for kind, expr in aggregates:
@@ -152,8 +157,8 @@ def build_plan_from_pipeline(filter_intervals, group_keys, aggregates):
             raise ValueError(f"unknown aggregate {kind}")
         if expr is not None:
             used |= expr_columns(expr)
-    for name, _, _ in filter_intervals:
-        used |= {name}
+    if not used:
+        used = {name for name, _, _ in filter_intervals}
     projection = tuple(sorted(used))
     return [
         {

@@ -5,6 +5,10 @@ connection (level 4), pipelining across row groups (level 3), parallel column
 chunks within a group (level 2), and splitting single chunks into ranged
 requests (level 1) only when the higher levels leave connections idle, since
 splitting inflates the request bill.
+
+A column that only the filter reads is fetched for a row group only when the
+group's INT64 stats leave one of its intervals open; where the stats prove
+every value inside, the rows need no check and the chunk is not bought.
 """
 
 from __future__ import annotations
@@ -184,11 +188,10 @@ def execute_scan(
         path: sim.loop.spawn(lcf.read_footer_ranged(sim, ctx, bucket, path)) for path in paths
     }
 
-    fetch_cols = list(predicates.projection)
-    for name, _, _ in predicates.intervals:
-        if name not in fetch_cols:
-            fetch_cols.append(name)
-    fetch_cols = tuple(fetch_cols)
+    projection = predicates.projection
+    filter_only = tuple(
+        dict.fromkeys(name for name, _, _ in predicates.intervals if name not in projection)
+    )
 
     def fetch_item(path, item):
         yield from gate.acquire()
@@ -211,10 +214,21 @@ def execute_scan(
         report.groups_read += len(surviving)
         if not surviving:
             continue
-        plan = plan_downloads(footer, surviving, fetch_cols, config)
-        by_group: dict[int, list[PlanItem]] = {}
+        # the level and split budget count every filter column, as if each
+        # group fetched it; the plan then drops a filter-only column from the
+        # groups whose stats prove its intervals
+        plan = plan_downloads(footer, surviving, projection + filter_only, config)
+        reads: dict[int, tuple[tuple[str, ...], list]] = {}  # group -> (columns, checks)
+        by_group: dict[int, list[PlanItem]] = {g: [] for g in surviving}
+        for g in surviving:
+            rg = footer.row_groups[g]
+            # the intervals the stats leave open: the rows need these checks
+            checks = [iv for iv in predicates.intervals if not _stats_prove(footer.schema, rg, *iv)]
+            opened = {name for name, _, _ in checks}
+            reads[g] = (projection + tuple(c for c in filter_only if c in opened), checks)
         for item in plan:
-            by_group.setdefault(item.group, []).append(item)
+            if item.column in reads[item.group][0]:
+                by_group[item.group].append(item)
 
         pending: deque[tuple[int, list]] = deque()
         group_iter = iter(surviving)
@@ -238,15 +252,16 @@ def execute_scan(
                 parts.append((yield task))
             launch_next_group()
             rg = footer.row_groups[g]
+            columns, checks = reads[g]
             # reassemble per column (level-1 splits arrive in offset order)
-            col_bytes: dict[str, list[bytes]] = {c: [] for c in fetch_cols}
+            col_bytes: dict[str, list[bytes]] = {c: [] for c in columns}
             for item, raw in zip(by_group[g], parts):
                 col_bytes[item.column].append(raw)
                 report.requests += 1
                 report.bytes += len(raw)
             decoded = {}
             total_encoded = 0
-            for name in fetch_cols:
+            for name in columns:
                 ci = footer.schema.index_of(name)
                 chunk = rg.chunks[ci]
                 raw = b"".join(col_bytes[name])
@@ -254,15 +269,12 @@ def execute_scan(
                 decoded[name] = lcf.decode_chunk(
                     chunk, raw, footer.schema.columns[ci][1], rg.row_count
                 )
-            checks = [
-                (decoded[name], lo, hi)
-                for name, lo, hi in predicates.intervals
-                if not _stats_prove(footer.schema, rg, name, lo, hi)
-            ]
             cycles = sim.cfg.decode_cycles_per_byte * total_encoded
             if cycles:
                 yield from ctx.compute(cycles)
-            batch = _filter_batch(decoded, predicates.projection, checks)
+            batch = _filter_batch(
+                decoded, projection, [(decoded[name], lo, hi) for name, lo, hi in checks]
+            )
             report.rows += len(batch[0])
             batches.append(batch)
 

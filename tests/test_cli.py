@@ -129,7 +129,7 @@ def test_bench_reruns_are_byte_identical(tmp_path):
 
 # SHA-256 over the names and bytes of every CSV the runs below write; any
 # change to a simulated latency, request count or dollar figure moves it.
-GOLDEN_BENCH_SHA256 = "a1b0d65009b36ec531c54f5d1bb104eed3cd480b3cc3e831bbf5b6da3c91f070"
+GOLDEN_BENCH_SHA256 = "dc9a9dba9f269597a09e3c71f353d6de980b00e4c5ada20a6921012fc26b5bfc"
 
 
 def test_bench_outputs_match_golden_digest(tmp_path):

@@ -251,7 +251,7 @@ class TestEventCount:
         keys = datagen.gen(sim, spec, 7)
         plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
         sim.loop.run_task(engine.execute(sim, plan, keys, strategy=invoke.TWO_LEVEL))
-        assert len(scheduled) == 519
+        assert len(scheduled) == 391
         assert self.digest(scheduled) == (
-            "ce0165ec0c76e6b577a754c8397fab138ebf5a72f221efad9764872fdc60d9e9"
+            "6932d1d3ce3cc333c91e58753e41ac633c3a04090887f0c5ce4e7d7d0417925f"
         )

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lambada_lab import datagen, engine, errors, invoke, lcf
+from lambada_lab.billing import READ
 from lambada_lab.config import MIB, SimConfig
 from lambada_lab.substrate import CloudSim, FunctionSpec
 
@@ -39,8 +40,15 @@ class TestPlanBuilding:
         scan_op = plan[0]
         assert scan_op["scope"] == engine.SERVERLESS
         assert scan_op["intervals"] == [["shipdate", 0, 100]]
-        assert set(scan_op["projection"]) == {"shipdate", "returnflag", "quantity"}
+        # shipdate is read by the filter only: the scan fetches it per group
+        assert set(scan_op["projection"]) == {"returnflag", "quantity"}
         assert plan[2]["scope"] == engine.DRIVER
+
+    def test_count_only_plan_projects_its_filter_columns(self):
+        plan = engine.build_plan_from_pipeline(
+            [("shipdate", 0, 100), ("discount", 2, 4)], (), [("count", None)]
+        )
+        assert plan[0]["projection"] == ["discount", "shipdate"]
 
     def test_no_filter_projects_used_columns_only(self):
         plan = engine.build_plan_from_pipeline([], (), [("sum", {"col": "quantity"})])
@@ -263,12 +271,10 @@ def expressions(names, shared=None):
 
 @st.composite
 def plans(draw, schema):
+    """Random plans; an INT64 filter column that no key or aggregate reads
+    sometimes gets the covering interval, which every group's stats prove,
+    so the scan leaves that column unfetched."""
     names = [name for name, _ in schema.columns]
-    intervals = []
-    for name in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)):
-        values = INTS if dict(schema.columns)[name] == lcf.INT64 else FLOATS
-        lo, hi = sorted([draw(values), draw(values)])
-        intervals.append((name, lo, hi))
     keys = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
     shared = draw(expressions(names))
     aggs = [
@@ -277,6 +283,16 @@ def plans(draw, schema):
     ]
     if draw(st.booleans()):
         aggs.append(("count", None))
+    read = set(keys).union(*[engine.expr_columns(e) for _, e in aggs if e is not None])
+    intervals = []
+    for name in draw(st.lists(st.sampled_from(names), max_size=2, unique=True)):
+        int_column = dict(schema.columns)[name] == lcf.INT64
+        if int_column and name not in read and draw(st.booleans()):
+            intervals.append((name, -(2**63), 2**63 - 1))
+            continue
+        values = INTS if int_column else FLOATS
+        lo, hi = sorted([draw(values), draw(values)])
+        intervals.append((name, lo, hi))
     return engine.build_plan_from_pipeline(intervals, keys, aggs)
 
 
@@ -442,6 +458,42 @@ class TestOverlappedCollect:
         assert spill_reads[0] < report.invoke_makespan_us
 
 
+class TestRequestCount:
+    @pytest.mark.parametrize("fraction", [0.5, 0.98])
+    def test_q1_gets_match_closed_form_from_footers(self, fraction):
+        """GETs = files + sum over surviving groups of (|projection| + the
+        filter-only columns whose intervals the group's stats leave open),
+        worked out from the footers alone: one tail GET reads each footer,
+        and q1's seven columns fill every connection, so no chunk is split."""
+        spec = datagen.GenSpec(
+            scale_bytes=datagen.ROW_BYTES * 4000, files=4, rows_per_group=100
+        )
+        tables = datagen.generate_tables(spec, 7)
+        plan = engine.q1_plan(datagen.percentile_value(tables, "shipdate", fraction))
+        projection = plan[0]["projection"]
+        [(name, lo, hi)] = plan[0]["intervals"]
+        assert name not in projection
+        expected = skipped = 0
+        for _, data in datagen.encode_files(spec, 7):
+            footer = lcf.read_footer(data)
+            expected += 1  # the footer
+            col = footer.schema.index_of(name)
+            for rg in footer.row_groups:
+                stats = rg.chunks[col].stats
+                if stats.max_value < lo or stats.min_value > hi:
+                    continue  # pruned
+                proven = lo <= stats.min_value and stats.max_value <= hi
+                expected += len(projection) + (not proven)
+                skipped += proven
+        assert skipped > 0
+        sim = CloudSim(SimConfig())
+        keys = datagen.gen(sim, spec, 7)
+        before = sim.ledger.count(READ)
+        rows, _ = run_query(sim, plan, keys)
+        assert rows == engine.reference_execute(tables, datagen.COLUMNS, plan)
+        assert sim.ledger.count(READ) - before == expected
+
+
 class TestReport:
     def test_costs_reconcile_with_ledger(self):
         sim, keys, _ = setup_data(rows=500, files=2)
@@ -474,7 +526,7 @@ class TestReport:
         sim, keys, tables = setup_data()
         plan = engine.q1_plan(datagen.percentile_value(tables, "shipdate", 0.98))
         rows, report = run_query(sim, plan, keys)
-        assert report.to_csv_row() == "4,332413,112000,10000,6,5.76e-05,2.7774516e-05,8.5374516e-05"
+        assert report.to_csv_row() == "4,312404,112000,10000,6,5e-05,2.5132437e-05,7.5132437e-05"
         assert rows[0] == [[0, 0], [8288, 1528977730, 145309613511, 15135397701080, 314]]
 
     def test_q6_report_pinned(self):

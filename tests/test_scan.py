@@ -131,6 +131,49 @@ class TestExecute:
         batches, report = run_scan(sim, ["f.lcf"], preds)
         assert batches == [[[20]]]
         assert report.rows == 1
+        # the stats [1, 9] leave [4, 6] open, so a is fetched to check rows
+        assert report.requests == 1 + 2
+
+    def test_proven_filter_only_column_is_not_fetched(self):
+        groups = [[[3, 4], [1, 2]], [[5, 3], [7, 8]]]
+        data, _ = make_file(groups)
+        footer = lcf.read_footer(data)
+        sim = seeded_sim({"f.lcf": data})
+        preds = scan.PredicateSet((("a", 0, 10),), ("b",))
+        batches, report = run_scan(sim, ["f.lcf"], preds)
+        assert batches == [[[1, 2]], [[7, 8]]]
+        # the footer and b's two chunks; a is never bought
+        assert report.requests == 1 + 2 == sim.ledger.count(READ)
+        b = footer.schema.index_of("b")
+        assert report.bytes == sum(rg.chunks[b].compressed_len for rg in footer.row_groups)
+
+    def test_column_with_one_open_interval_of_two_is_fetched(self):
+        groups = [
+            [[1, 5, 9], [10, 20, 30]],  # [0, 100] proven, [4, 6] open
+            [[4, 5, 6], [40, 50, 60]],  # both proven
+        ]
+        data, _ = make_file(groups)
+        sim = seeded_sim({"f.lcf": data})
+        preds = scan.PredicateSet((("a", 0, 100), ("a", 4, 6)), ("b",))
+        batches, report = run_scan(sim, ["f.lcf"], preds)
+        assert batches == [[[20]], [[40, 50, 60]]]
+        assert report.requests == 1 + 2 + 1 == sim.ledger.count(READ)
+
+    def test_proven_filter_column_still_counts_toward_split_budget(self):
+        # three 128 KiB projected chunks plus a proven filter-only column fill
+        # the four connections, so no chunk is split even though only three
+        # columns are fetched
+        rows = 16 * 1024
+        names = ("c0", "c1", "c2", "f")
+        data, _ = make_file([[list(range(rows)) for _ in names]], names)
+        footer = lcf.read_footer(data)
+        assert all(c.compressed_len == 2 * 64 * 1024 for c in footer.row_groups[0].chunks)
+        sim = seeded_sim({"f.lcf": data})
+        preds = scan.PredicateSet((("f", 0, rows),), ("c0", "c1", "c2"))
+        cfg = scan.ScanConfig(chunk_size_bytes=64 * 1024)
+        batches, report = run_scan(sim, ["f.lcf"], preds, cfg)
+        assert batches == [[list(range(rows))] * 3]
+        assert report.requests == 1 + 3 == sim.ledger.count(READ)
 
     def test_float_stats_inside_interval_still_filter_nan(self):
         # min()/max() skip a NaN that is not first: the stats read [1.0, 2.0]
@@ -142,6 +185,8 @@ class TestExecute:
         batches, report = run_scan(sim, ["f.lcf"], preds)
         assert batches == [[[10, 30]]]
         assert report.rows == 2
+        # FLOAT64 stats prove nothing: the filter-only f is always fetched
+        assert report.requests == 1 + 2 == sim.ledger.count(READ)
 
     def test_int_stats_skip_only_groups_wholly_inside(self):
         groups = [
