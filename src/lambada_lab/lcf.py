@@ -225,7 +225,9 @@ def _row_group_struct(schema: Schema) -> struct.Struct:
     )
 
 
-def decode_footer(raw: bytes) -> FileFooter:
+def decode_footer(raw: bytes, data_end: int | None = None) -> FileFooter:
+    """Decode a footer; with `data_end`, the footer's offset in its file,
+    a column chunk that runs past it raises CorruptFooter."""
     if len(raw) < _FOOTER_HEAD.size:
         raise errors.CorruptFooter("footer truncated")
     version, ncols = _FOOTER_HEAD.unpack_from(raw)
@@ -272,6 +274,8 @@ def decode_footer(raw: bytes) -> FileFooter:
             if offset < prev_end:
                 raise errors.CorruptFooter("column chunks overlap")
             prev_end = offset + clen
+            if data_end is not None and prev_end > data_end:
+                raise errors.CorruptFooter("column chunk runs into the footer")
             chunks.append(
                 ColumnChunkMeta(offset, clen, ulen, encoding, ColumnStats(min_v, max_v))
             )
@@ -292,14 +296,17 @@ def split_trailer(tail: bytes, file_size: int) -> tuple[int, int]:
 def read_footer(data: bytes) -> FileFooter:
     """Decode the footer of a complete in-memory LCF file."""
     footer_off, footer_len = split_trailer(data[-FOOTER_TAIL_WINDOW:], len(data))
-    return decode_footer(data[footer_off : footer_off + footer_len])
+    return decode_footer(data[footer_off : footer_off + footer_len], footer_off)
 
 
 def read_footer_ranged(sim, ctx, bucket: str, key: str):
     """Read a footer through the object store using the tail window.
 
     Issues exactly one suffix-range GET for footers smaller than the window
-    and one extra GET otherwise.  Returns (footer, requests).
+    and one extra GET otherwise.  Returns (footer, requests, tail,
+    tail_start): the window's bytes and their offset in the file, so that
+    column chunks inside the window can be read from the same snapshot as
+    the footer without another GET.
     """
     tail = yield from sim.store.get_object(
         ctx, bucket, key, (-FOOTER_TAIL_WINDOW, None)
@@ -317,7 +324,7 @@ def read_footer_ranged(sim, ctx, bucket: str, key: str):
         )
         raw = bytes(raw)
         requests += 1
-    return decode_footer(raw), requests
+    return decode_footer(raw, footer_off), requests, tail, tail_start
 
 
 def read_table(data: bytes) -> list[list]:

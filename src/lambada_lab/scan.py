@@ -9,6 +9,9 @@ splitting inflates the request bill.
 A column that only the filter reads is fetched for a row group only when the
 group's INT64 stats leave one of its intervals open; where the stats prove
 every value inside, the rows need no check and the chunk is not bought.
+
+A planned range that lies wholly inside the 64 KiB tail, read with the
+footer, is cut from those bytes instead of bought again.
 """
 
 from __future__ import annotations
@@ -134,6 +137,10 @@ def plan_downloads(
 
 @dataclass
 class ScanReport:
+    """One scan's figures.  `requests` counts footer and chunk GETs and
+    `bytes` the bytes the chunk GETs bought: a range read from the footer's
+    tail adds to neither."""
+
     requests: int = 0
     bytes: int = 0
     rows: int = 0
@@ -205,7 +212,8 @@ def execute_scan(
 
     batches = []
     for path in paths:
-        footer, footer_requests = yield footer_tasks[path]
+        # popped, so the finished task does not keep the tail alive
+        footer, footer_requests, tail, tail_start = yield footer_tasks.pop(path)
         report.requests += footer_requests
         surviving = prune_row_groups(footer, predicates) if prune else list(
             range(len(footer.row_groups))
@@ -226,9 +234,17 @@ def execute_scan(
             checks = [iv for iv in predicates.intervals if not _stats_prove(footer.schema, rg, *iv)]
             opened = {name for name, _, _ in checks}
             reads[g] = (projection + tuple(c for c in filter_only if c in opened), checks)
+        # a range wholly inside the footer's tail read is cut from those
+        # bytes and bought with no GET; one that straddles the tail's start
+        # is fetched whole
+        served: dict[PlanItem, bytes] = {}
         for item in plan:
             if item.column in reads[item.group][0]:
                 by_group[item.group].append(item)
+                if item.start >= tail_start:
+                    at = item.start - tail_start
+                    served[item] = tail[at : at + item.length]
+        del tail
 
         pending: deque[tuple[int, list]] = deque()
         group_iter = iter(surviving)
@@ -237,7 +253,10 @@ def execute_scan(
             g = next(group_iter, None)
             if g is None:
                 return False
-            tasks = [sim.loop.spawn(fetch_item(path, it)) for it in by_group[g]]
+            tasks = [
+                None if it in served else sim.loop.spawn(fetch_item(path, it))
+                for it in by_group[g]
+            ]
             pending.append((g, tasks))
             return True
 
@@ -248,17 +267,18 @@ def execute_scan(
         while pending:
             g, tasks = pending.popleft()
             parts = []
-            for task in tasks:
-                parts.append((yield task))
+            for item, task in zip(by_group[g], tasks):
+                parts.append(served.pop(item) if task is None else (yield task))
             launch_next_group()
             rg = footer.row_groups[g]
             columns, checks = reads[g]
             # reassemble per column (level-1 splits arrive in offset order)
             col_bytes: dict[str, list[bytes]] = {c: [] for c in columns}
-            for item, raw in zip(by_group[g], parts):
+            for item, task, raw in zip(by_group[g], tasks, parts):
                 col_bytes[item.column].append(raw)
-                report.requests += 1
-                report.bytes += len(raw)
+                if task is not None:
+                    report.requests += 1
+                    report.bytes += len(raw)
             decoded = {}
             total_encoded = 0
             for name in columns:

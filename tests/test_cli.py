@@ -129,7 +129,7 @@ def test_bench_reruns_are_byte_identical(tmp_path):
 
 # SHA-256 over the names and bytes of every CSV the runs below write; any
 # change to a simulated latency, request count or dollar figure moves it.
-GOLDEN_BENCH_SHA256 = "dc9a9dba9f269597a09e3c71f353d6de980b00e4c5ada20a6921012fc26b5bfc"
+GOLDEN_BENCH_SHA256 = "3d48fcde82cb55b83486fdf4904e2a96005d792cd4c8bfea71fe4c5385c66dd4"
 
 
 def test_bench_outputs_match_golden_digest(tmp_path):

@@ -246,12 +246,14 @@ class TestEventCount:
         )
 
     def test_two_level_query(self, scheduled):
-        spec = datagen.GenSpec(scale_bytes=datagen.ROW_BYTES * 2000, files=8, rows_per_group=100)
+        # 2000 rows (112 KB of chunks) per file: the groups before each
+        # file's 64 KiB footer tail cost chunk GETs
+        spec = datagen.GenSpec(scale_bytes=datagen.ROW_BYTES * 16000, files=8, rows_per_group=100)
         sim = CloudSim(SimConfig())
         keys = datagen.gen(sim, spec, 7)
         plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
         sim.loop.run_task(engine.execute(sim, plan, keys, strategy=invoke.TWO_LEVEL))
-        assert len(scheduled) == 391
+        assert len(scheduled) == 1135
         assert self.digest(scheduled) == (
-            "6932d1d3ce3cc333c91e58753e41ac633c3a04090887f0c5ce4e7d7d0417925f"
+            "5f37837991023ff9a8ba1ae8e82dd17d8d3fef108b5307a51652daad99ce55bb"
         )

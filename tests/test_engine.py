@@ -463,19 +463,22 @@ class TestRequestCount:
     def test_q1_gets_match_closed_form_from_footers(self, fraction):
         """GETs = files + sum over surviving groups of (|projection| + the
         filter-only columns whose intervals the group's stats leave open),
-        worked out from the footers alone: one tail GET reads each footer,
-        and q1's seven columns fill every connection, so no chunk is split."""
+        less the chunks that lie inside a file's last FOOTER_TAIL_WINDOW
+        bytes, worked out from the footers alone: one tail GET reads each
+        footer and those chunks, and q1's seven columns fill every
+        connection, so no chunk is split."""
         spec = datagen.GenSpec(
-            scale_bytes=datagen.ROW_BYTES * 4000, files=4, rows_per_group=100
+            scale_bytes=datagen.ROW_BYTES * 12000, files=4, rows_per_group=100
         )
         tables = datagen.generate_tables(spec, 7)
         plan = engine.q1_plan(datagen.percentile_value(tables, "shipdate", fraction))
         projection = plan[0]["projection"]
         [(name, lo, hi)] = plan[0]["intervals"]
         assert name not in projection
-        expected = skipped = 0
+        expected = skipped = in_tail = 0
         for _, data in datagen.encode_files(spec, 7):
             footer = lcf.read_footer(data)
+            tail_start = len(data) - lcf.FOOTER_TAIL_WINDOW
             expected += 1  # the footer
             col = footer.schema.index_of(name)
             for rg in footer.row_groups:
@@ -483,9 +486,14 @@ class TestRequestCount:
                 if stats.max_value < lo or stats.min_value > hi:
                     continue  # pruned
                 proven = lo <= stats.min_value and stats.max_value <= hi
-                expected += len(projection) + (not proven)
+                fetched = [footer.schema.index_of(c) for c in projection]
+                if not proven:
+                    fetched.append(col)
+                served = sum(rg.chunks[c].offset >= tail_start for c in fetched)
+                expected += len(fetched) - served
                 skipped += proven
-        assert skipped > 0
+                in_tail += served
+        assert skipped > 0 and in_tail > 0 and expected > spec.files
         sim = CloudSim(SimConfig())
         keys = datagen.gen(sim, spec, 7)
         before = sim.ledger.count(READ)
@@ -526,7 +534,7 @@ class TestReport:
         sim, keys, tables = setup_data()
         plan = engine.q1_plan(datagen.percentile_value(tables, "shipdate", 0.98))
         rows, report = run_query(sim, plan, keys)
-        assert report.to_csv_row() == "4,312404,112000,10000,6,5e-05,2.5132437e-05,7.5132437e-05"
+        assert report.to_csv_row() == "4,152314,112000,10000,6,1.6e-06,4.001448e-06,5.601448e-06"
         assert rows[0] == [[0, 0], [8288, 1528977730, 145309613511, 15135397701080, 314]]
 
     def test_q6_report_pinned(self):
@@ -534,5 +542,5 @@ class TestReport:
         lo = datagen.percentile_value(tables, "shipdate", 0.40)
         hi = datagen.percentile_value(tables, "shipdate", 0.42)
         rows, report = run_query(sim, engine.q6_plan(lo, hi), keys, files_per_worker=2)
-        assert report.to_csv_row() == "2,180673,104000,10000,1,4.8e-06,3.342933e-06,8.142933e-06"
+        assert report.to_csv_row() == "2,140628,104000,6000,1,1.6e-06,2.021448e-06,3.621448e-06"
         assert rows == [[[], [76842415]]]

@@ -426,32 +426,86 @@ class TestRangedFooterRead:
         sim.store.seed_object("data", "part.lcf", data)
         return sim
 
-    def test_small_footer_needs_one_request(self):
-        data = lcf.write_file(SCHEMA_XY, [[[1, 2], [3.0, 4.0]]])
-        sim = self._seeded_sim(data)
-
+    def _read(self, sim):
         def main():
             ctx = sim.driver()
             return (yield from lcf.read_footer_ranged(sim, ctx, "data", "part.lcf"))
 
-        footer, requests = sim.loop.run_task(main())
+        return sim.loop.run_task(main())
+
+    def test_small_footer_needs_one_request(self):
+        data = lcf.write_file(SCHEMA_XY, [[[1, 2], [3.0, 4.0]]])
+        sim = self._seeded_sim(data)
+        footer, requests, tail, tail_start = self._read(sim)
         assert requests == 1
         assert footer == lcf.read_footer(data)
         assert sim.ledger.count("read") == 1
+        # a file smaller than the window comes back whole
+        assert (tail, tail_start) == (data, 0)
+
+    def test_tail_is_the_window_and_its_file_offset(self):
+        schema = lcf.Schema((("x", lcf.INT64),))
+        data = lcf.write_file(schema, [[list(range(10_000))]])
+        sim = self._seeded_sim(data)
+        _, requests, tail, tail_start = self._read(sim)
+        assert requests == 1
+        assert len(tail) == lcf.FOOTER_TAIL_WINDOW
+        assert tail_start == len(data) - lcf.FOOTER_TAIL_WINDOW
+        assert tail == data[tail_start:]
 
     def test_oversized_footer_needs_second_request(self):
         # thousands of row groups push the footer past the 64 KiB tail window
         schema = lcf.Schema((("x", lcf.INT64),))
         groups = [[[i]] for i in range(2000)]
         data = lcf.write_file(schema, groups)
-        _, footer_len = lcf.split_trailer(data[-8:], len(data))
+        footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
         assert footer_len > lcf.FOOTER_TAIL_WINDOW - 8
         sim = self._seeded_sim(data)
-
-        def main():
-            ctx = sim.driver()
-            return (yield from lcf.read_footer_ranged(sim, ctx, "data", "part.lcf"))
-
-        footer, requests = sim.loop.run_task(main())
+        footer, requests, tail, tail_start = self._read(sim)
         assert requests == 2
         assert len(footer.row_groups) == 2000
+        # the window holds footer bytes only: no chunk lies inside it
+        assert tail == data[tail_start:] and footer_off < tail_start
+
+
+def file_with_chunk_in_footer():
+    """A two-group file whose last chunk points at the footer's own offset."""
+    schema = lcf.Schema((("x", lcf.INT64),))
+    data = lcf.write_file(schema, [[[1, 2]], [[3, 4]]])
+    footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
+    footer = lcf.read_footer(data)
+    last = footer.row_groups[1]
+    bad = last._replace(chunks=(last.chunks[0]._replace(offset=footer_off),))
+    raw = lcf.encode_footer(lcf.FileFooter(schema, (footer.row_groups[0], bad)))
+    assert len(raw) == footer_len
+    return data[:footer_off] + raw + data[footer_off + footer_len :]
+
+
+class TestChunkInsideFooter:
+    def test_whole_file_read_rejects_it(self):
+        data = file_with_chunk_in_footer()
+        with pytest.raises(errors.CorruptFooter, match="runs into the footer"):
+            lcf.read_footer(data)
+        # before the check the footer bytes decoded as values:
+        # [1, 2, 33777001500311553, 8589934594]
+        with pytest.raises(errors.CorruptFooter):
+            lcf.read_table(data)
+
+    def test_ranged_read_rejects_it(self):
+        sim = CloudSim(SimConfig())
+        sim.store.seed_object("data", "part.lcf", file_with_chunk_in_footer())
+
+        def main():
+            return (yield from lcf.read_footer_ranged(sim, sim.driver(), "data", "part.lcf"))
+
+        with pytest.raises(errors.CorruptFooter, match="runs into the footer"):
+            sim.loop.run_task(main())
+
+    def test_chunk_ending_at_the_footer_is_accepted(self):
+        schema = lcf.Schema((("x", lcf.INT64),))
+        data = lcf.write_file(schema, [[[1, 2]], [[3, 4]]])
+        footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
+        raw = data[footer_off : footer_off + footer_len]
+        assert lcf.decode_footer(raw, footer_off) == lcf.read_footer(data)
+        with pytest.raises(errors.CorruptFooter):
+            lcf.decode_footer(raw, footer_off - 1)

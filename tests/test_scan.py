@@ -19,6 +19,37 @@ def make_file(groups, names=("a", "b")):
     return lcf.write_file(schema, groups), schema
 
 
+def clear_of_tail(data):
+    """The same file with a tail window of zeros between its last chunk and
+    its footer: the footer's offsets still hold, and no chunk lies inside
+    the footer's tail read, so every chunk the scan needs costs a GET."""
+    footer_off, _ = lcf.split_trailer(data[-8:], len(data))
+    return data[:footer_off] + bytes(lcf.FOOTER_TAIL_WINDOW) + data[footer_off:]
+
+
+def record_ranges(sim):
+    """Byte ranges of the GETs `sim`'s store serves from now on, in call order."""
+    ranges = []
+    get_object = sim.store.get_object
+
+    def recording(ctx, bucket, key, byte_range=None):
+        ranges.append(byte_range)
+        return get_object(ctx, bucket, key, byte_range)
+
+    sim.store.get_object = recording
+    return ranges
+
+
+def filtered_rows(data, intervals):
+    """The rows of `lcf.read_table(data)` inside every (column index, lo, hi)."""
+    rows = zip(*lcf.read_table(data))
+    return [r for r in rows if all(lo <= r[c] <= hi for c, lo, hi in intervals)]
+
+
+def rows_of(batches):
+    return [row for batch in batches for row in zip(*batch)]
+
+
 def run_scan(sim, paths, predicates, config=None, prune=True, bucket="data"):
     def main():
         return (
@@ -115,7 +146,7 @@ class TestPlanner:
 class TestExecute:
     def test_matches_direct_reader_without_predicates(self):
         groups = [[[1, 2, 3], [4, 5, 6]], [[7, 8], [9, 10]]]
-        data, _ = make_file(groups)
+        data = clear_of_tail(make_file(groups)[0])
         sim = seeded_sim({"f.lcf": data})
         preds = scan.PredicateSet((), ("a", "b"))
         batches, report = run_scan(sim, ["f.lcf"], preds)
@@ -125,7 +156,7 @@ class TestExecute:
         assert report.requests == 1 + 4  # footer + 2 groups x 2 columns
 
     def test_residual_row_filter(self):
-        data, _ = make_file([[[1, 5, 9], [10, 20, 30]]])
+        data = clear_of_tail(make_file([[[1, 5, 9], [10, 20, 30]]])[0])
         sim = seeded_sim({"f.lcf": data})
         preds = scan.PredicateSet((("a", 4, 6),), ("b",))
         batches, report = run_scan(sim, ["f.lcf"], preds)
@@ -136,7 +167,7 @@ class TestExecute:
 
     def test_proven_filter_only_column_is_not_fetched(self):
         groups = [[[3, 4], [1, 2]], [[5, 3], [7, 8]]]
-        data, _ = make_file(groups)
+        data = clear_of_tail(make_file(groups)[0])
         footer = lcf.read_footer(data)
         sim = seeded_sim({"f.lcf": data})
         preds = scan.PredicateSet((("a", 0, 10),), ("b",))
@@ -152,7 +183,7 @@ class TestExecute:
             [[1, 5, 9], [10, 20, 30]],  # [0, 100] proven, [4, 6] open
             [[4, 5, 6], [40, 50, 60]],  # both proven
         ]
-        data, _ = make_file(groups)
+        data = clear_of_tail(make_file(groups)[0])
         sim = seeded_sim({"f.lcf": data})
         preds = scan.PredicateSet((("a", 0, 100), ("a", 4, 6)), ("b",))
         batches, report = run_scan(sim, ["f.lcf"], preds)
@@ -178,7 +209,7 @@ class TestExecute:
     def test_float_stats_inside_interval_still_filter_nan(self):
         # min()/max() skip a NaN that is not first: the stats read [1.0, 2.0]
         schema = lcf.Schema((("f", lcf.FLOAT64), ("b", lcf.INT64)))
-        data = lcf.write_file(schema, [[[1.0, float("nan"), 2.0], [10, 20, 30]]])
+        data = clear_of_tail(lcf.write_file(schema, [[[1.0, float("nan"), 2.0], [10, 20, 30]]]))
         assert lcf.read_footer(data).row_groups[0].chunks[0].stats == lcf.ColumnStats(1.0, 2.0)
         sim = seeded_sim({"f.lcf": data})
         preds = scan.PredicateSet((("f", 0.0, 5.0),), ("b",))
@@ -222,7 +253,7 @@ class TestExecute:
         assert sim.ledger.count(READ) - before == report.requests
 
     def test_concurrent_scans_bill_only_their_own_requests(self):
-        data, _ = make_file([[[1, 2], [3, 4]]])
+        data = clear_of_tail(make_file([[[1, 2], [3, 4]]])[0])
         sim = seeded_sim({"f.lcf": data, "g.lcf": data})
         preds = scan.PredicateSet((), ("a", "b"))
 
@@ -323,3 +354,88 @@ class TestExecute:
             return sorted(zip(*[sum((b[i] for b in batches), []) for i in range(2)]))
 
         assert rows(True) == rows(False)
+
+
+class TestTailReads:
+    """A planned range wholly inside the footer's 64 KiB tail read is cut
+    from those bytes; every other range costs its own GET."""
+
+    def test_last_group_inside_the_tail_is_never_requested(self):
+        # group 0's two 64 KiB chunks start before the tail (b's runs into
+        # it), group 1 lies wholly inside it
+        big = 8 * 1024
+        groups = [[list(range(big)), [v % 5 for v in range(big)]], [[7, 3, 9], [1, 2, 3]]]
+        data, _ = make_file(groups)
+        footer = lcf.read_footer(data)
+        tail_start = len(data) - lcf.FOOTER_TAIL_WINDOW
+        assert all(c.offset < tail_start for c in footer.row_groups[0].chunks)
+        assert all(c.offset >= tail_start for c in footer.row_groups[1].chunks)
+        sim = seeded_sim({"f.lcf": data})
+        ranges = record_ranges(sim)
+        preds = scan.PredicateSet((("a", 5, big - 10), ("b", 0, 3)), ("a", "b"))
+        batches, report = run_scan(sim, ["f.lcf"], preds)
+        assert rows_of(batches) == filtered_rows(data, [(0, 5, big - 10), (1, 0, 3)])
+        assert ranges[0] == (-lcf.FOOTER_TAIL_WINDOW, None)
+        assert sorted(ranges[1:]) == [
+            (c.offset, c.offset + c.compressed_len) for c in footer.row_groups[0].chunks
+        ]
+        assert report.requests == 1 + 2 == sim.ledger.count(READ)
+        assert report.bytes == 2 * 8 * big
+        assert report.groups_read == 2
+
+    def test_chunk_straddling_the_tail_start_costs_one_get(self):
+        # a's 64 KiB chunk lies before the tail, b's runs across its start
+        rows = 8 * 1024
+        data, _ = make_file([[list(range(rows)), list(range(rows))]])
+        a, b = lcf.read_footer(data).row_groups[0].chunks
+        tail_start = len(data) - lcf.FOOTER_TAIL_WINDOW
+        assert a.offset + a.compressed_len <= tail_start
+        assert b.offset < tail_start < b.offset + b.compressed_len
+        sim = seeded_sim({"f.lcf": data})
+        ranges = record_ranges(sim)
+        batches, report = run_scan(sim, ["f.lcf"], scan.PredicateSet((), ("a", "b")))
+        assert batches == [[list(range(rows)), list(range(rows))]]
+        assert ranges.count((b.offset, b.offset + b.compressed_len)) == 1
+        assert report.requests == 1 + 2 == sim.ledger.count(READ)
+
+    def test_footer_larger_than_the_window_serves_nothing_from_it(self):
+        # the footer fills the window, so every surviving chunk is fetched
+        schema = lcf.Schema((("x", lcf.INT64),))
+        data = lcf.write_file(schema, [[[i]] for i in range(2000)])
+        footer_off, _ = lcf.split_trailer(data[-8:], len(data))
+        assert footer_off < len(data) - lcf.FOOTER_TAIL_WINDOW
+        sim = seeded_sim({"f.lcf": data})
+        preds = scan.PredicateSet((("x", 1990, 2100),), ("x",))
+        batches, report = run_scan(sim, ["f.lcf"], preds)
+        assert rows_of(batches) == [(x,) for x in range(1990, 2000)]
+        assert report.requests == 2 + 10 == sim.ledger.count(READ)
+        assert report.bytes == 10 * 8
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=12_000), min_size=1, max_size=4),
+        lo=st.integers(min_value=0, max_value=30_000),
+        width=st.integers(min_value=0, max_value=30_000),
+        chunk_size=st.sampled_from([64 * 1024, MIB]),
+    )
+    def test_requests_are_footer_plus_items_starting_before_the_tail(
+        self, sizes, lo, width, chunk_size
+    ):
+        groups, start = [], 0
+        for n in sizes:
+            a = list(range(start, start + n))
+            groups.append([a, [v % 7 for v in a]])
+            start += n
+        data, _ = make_file(groups)
+        footer = lcf.read_footer(data)
+        preds = scan.PredicateSet((("a", lo, lo + width),), ("a", "b"))
+        cfg = scan.ScanConfig(chunk_size_bytes=chunk_size)
+        tail_start = max(0, len(data) - lcf.FOOTER_TAIL_WINDOW)
+        surviving = scan.prune_row_groups(footer, preds)
+        plan = scan.plan_downloads(footer, surviving, ("a", "b"), cfg) if surviving else []
+        bought = [item for item in plan if item.start < tail_start]
+        sim = seeded_sim({"f.lcf": data})
+        batches, report = run_scan(sim, ["f.lcf"], preds, cfg)
+        assert report.requests == 1 + len(bought) == sim.ledger.count(READ)
+        assert report.bytes == sum(item.length for item in bought)
+        assert rows_of(batches) == filtered_rows(data, [(0, lo, lo + width)])
