@@ -1,3 +1,4 @@
+import hashlib
 import struct
 from fractions import Fraction
 
@@ -439,3 +440,94 @@ class TestTailReads:
         assert report.requests == 1 + len(bought) == sim.ledger.count(READ)
         assert report.bytes == sum(item.length for item in bought)
         assert rows_of(batches) == filtered_rows(data, [(0, lo, lo + width)])
+
+
+class TestGetSchedule:
+    """The virtual-time schedule of every GET of three scans at the default
+    chunk size, connection count and row-group prefetch."""
+
+    CONNECTIONS = 4  # a scan's connections for chunk GETs
+
+    @staticmethod
+    def record_gets(sim):
+        """(virtual start, virtual end, key, range) of each GET, in completion order."""
+        gets = []
+        get_object = sim.store.get_object
+
+        def recording(ctx, bucket, key, byte_range=None):
+            start = sim.loop.now
+            data = yield from get_object(ctx, bucket, key, byte_range)
+            gets.append((start, sim.loop.now, key, byte_range))
+            return data
+
+        sim.store.get_object = recording
+        return gets
+
+    def test_get_schedule_is_pinned(self):
+        names = ("c0", "c1", "c2", "c3")
+        # (a) four 16 KiB columns: two groups of four GETs in flight. Five
+        # copies are scanned at once: a fifth footer that waited for a
+        # connection would start late and hold one against the chunk GETs
+        groups = [[[g * 4096 + i for i in range(2048)] for _ in names] for g in range(4)]
+        wide = clear_of_tail(make_file(groups, names)[0])
+        # (b) one group whose single 1.2 MB chunk is split into ranged GETs
+        big = lcf.write_file(lcf.Schema((("x", lcf.INT64),)), [[list(range(150_000))]])
+        # (c) f is filter-only: proven in group 0, pruned in group 1, open in
+        # groups 2 to 4; group 4 lies inside the footer's tail. Groups 0 and
+        # 2 in flight need three GETs, so a third group launched early would
+        # take the idle connection
+        rows = 8 * 1024
+        tail = make_file(
+            [
+                [list(range(rows)), [v % 100 for v in range(rows)]],
+                [[1, 2], [500, 600]],
+                [list(range(rows)), [v % 150 for v in range(rows)]],
+                [list(range(rows, 2 * rows)), [v % 150 for v in range(rows)]],
+                [[7, 8, 9], [5, 200, 50]],
+            ],
+            ("a", "f"),
+        )[0]
+        footer = lcf.read_footer(tail)
+        assert footer.row_groups[4].chunks[0].offset >= len(tail) - lcf.FOOTER_TAIL_WINDOW
+        assert footer.row_groups[3].chunks[1].offset < len(tail) - lcf.FOOTER_TAIL_WINDOW
+        wides = [f"wide{i}.lcf" for i in range(5)]
+        scans = [
+            (wides, wide, scan.PredicateSet((), names), []),
+            (["big.lcf"], big, scan.PredicateSet((), ("x",)), []),
+            (["tail.lcf"], tail, scan.PredicateSet((("f", 0, 100),), ("a",)), [(1, 0, 100)]),
+        ]
+        # decoding takes virtual time, so the schedule shows that the next
+        # group is launched before the current one is decoded
+        sim = CloudSim(SimConfig(decode_cycles_per_byte=Fraction(1000)))
+        for paths, data, _, _ in scans:
+            for path in paths:
+                sim.store.seed_object("data", path, data)
+        gets = self.record_gets(sim)
+        durations = []
+        for paths, data, preds, intervals in scans:
+            batches, report = run_scan(sim, paths, preds)
+            rows_kept = [r[: len(preds.projection)] for r in filtered_rows(data, intervals)]
+            assert rows_of(batches) == rows_kept * len(paths)
+            durations.append(report.duration_us)
+
+        footer_range = (-lcf.FOOTER_TAIL_WINDOW, None)
+        chunk_gets = [g for g in gets if g[3] != footer_range]
+        assert sorted(g[2] for g in gets if g[3] == footer_range) == ["big.lcf", "tail.lcf"] + wides
+        # 16 whole chunks a copy, the 1 MiB piece and its rest, a's group-0
+        # chunk and both chunks of groups 2 and 3
+        assert len(chunk_gets) == 5 * 16 + 2 + 5
+        assert sorted(g[3] for g in chunk_gets if g[2] == "big.lcf") == [
+            (0, MIB),
+            (MIB, 8 * 150_000),
+        ]
+        # an interval is [start, end): at one instant, ends count before starts
+        edges = sorted(
+            [(end, -1) for _, end, _, _ in chunk_gets] + [(s, 1) for s, _, _, _ in chunk_gets]
+        )
+        open_gets, peak = 0, 0
+        for _, step in edges:
+            open_gets += step
+            peak = max(peak, open_gets)
+        assert peak == self.CONNECTIONS
+        digest = hashlib.sha256(repr((gets, durations)).encode()).hexdigest()
+        assert digest == "c288e55344f1db40f261704a1e39987124ae2943f514e0cbd6be0b8a7a401498"
