@@ -19,7 +19,7 @@ from itertools import repeat
 from . import errors, invoke
 from .billing import format_usd
 from .config import MIB
-from .scan import PredicateSet, ScanConfig, execute_scan
+from .scan import PredicateSet, execute_scan
 from .substrate import FunctionSpec
 
 QUEUE_PAYLOAD_CAP = 256 * 1024
@@ -195,9 +195,7 @@ def run_fragment(sim, ctx, bucket, paths, plan):
         tuple((n, lo, hi) for n, lo, hi in scan_op["intervals"]),
         tuple(scan_op["projection"]),
     )
-    batches, report = yield from execute_scan(
-        sim, ctx, bucket, paths, predicates, ScanConfig()
-    )
+    batches, report = yield from execute_scan(sim, ctx, bucket, paths, predicates)
     held_bytes = sum(8 * len(col) for batch in batches for col in batch)
     budget = int(MEMORY_HEADROOM * ctx.spec.memory_mib * MIB)
     if held_bytes > budget:
@@ -317,7 +315,9 @@ def execute(
         raise ValueError("files_per_worker must be >= 1")
     W = math.ceil(len(paths) / files_per_worker)
     shares = [paths[w * files_per_worker : (w + 1) * files_per_worker] for w in range(W)]
-    queue = sim.queue("results")
+    # the query's number on this sim scopes its result queue and spill keys
+    query = f"q{next(sim.query_ids)}"
+    queue = sim.queue(f"results-{query}")
     sim.store.create_bucket(SPILL_BUCKET)
 
     def fragment(ctx, wid, data):
@@ -325,7 +325,7 @@ def execute(
             partial, _report = yield from run_fragment(sim, ctx, bucket, data["paths"], plan)
             body = json.dumps({"worker": wid, "status": "ok", "partial": partial})
             if len(body) > QUEUE_PAYLOAD_CAP:
-                key = f"w{wid}"
+                key = f"{query}/w{wid}"
                 yield from sim.store.put_object(ctx, SPILL_BUCKET, key, body.encode())
                 body = json.dumps(
                     {"worker": wid, "status": "ok", "spilled": [SPILL_BUCKET, key]}

@@ -25,10 +25,6 @@ class Throttled(SimError):
     """Raised once the retry budget against a rate limiter is exhausted."""
 
 
-class Timeout(SimError):
-    pass
-
-
 class PayloadTooLarge(SimError):
     pass
 

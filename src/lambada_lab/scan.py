@@ -1,17 +1,20 @@
-"""Object-store scan operator: stats pruning plus a leveled download planner.
+"""Object-store scan operator: stats pruning plus a fixed download order.
 
-Concurrency is spent in priority order: file metadata on its own logical
-connection (level 4), pipelining across row groups (level 3), parallel column
-chunks within a group (level 2), and splitting single chunks into ranged
-requests (level 1) only when the higher levels leave connections idle, since
-splitting inflates the request bill.
+A worker spends its connections in priority order. Each file's footer is
+fetched up front, outside the `MAX_CONNECTIONS` chunk connections. Then a
+window of min(`ROW_GROUP_PREFETCH`, surviving groups) row groups is in
+flight, and each group's column chunks are fetched in parallel; the next
+group is launched once the current group's parts arrive, before it is
+decoded. A chunk over `CHUNK_SIZE_BYTES` is split into ranged GETs only
+when the window's chunks leave connections idle, since splitting inflates
+the request bill.
 
-A column that only the filter reads is fetched for a row group only when the
-group's INT64 stats leave one of its intervals open; where the stats prove
-every value inside, the rows need no check and the chunk is not bought.
-
-A planned range that lies wholly inside the 64 KiB tail, read with the
-footer, is cut from those bytes instead of bought again.
+Each surviving row group is planned once, as one list of reads. A column
+that only the filter reads is dropped from a group whose INT64 stats prove
+every value inside its intervals: the rows need no check and the chunk is
+not bought. It still counts toward the split budget. A read that lies
+wholly inside the 64 KiB tail, fetched with the footer, is cut from those
+bytes instead of bought again.
 """
 
 from __future__ import annotations
@@ -22,20 +25,9 @@ from dataclasses import dataclass
 from . import lcf
 from .clock import Future
 
-MIN_CHUNK_SIZE = 64 * 1024
-ROW_GROUP_PREFETCH = 2  # row groups in flight at level 3
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    chunk_size_bytes: int = 1024 * 1024
-    max_connections: int = 4
-
-    def __post_init__(self):
-        if self.chunk_size_bytes < MIN_CHUNK_SIZE:
-            raise ValueError("chunk size below 64 KiB floor")
-        if self.max_connections < 1:
-            raise ValueError("need at least one connection")
+CHUNK_SIZE_BYTES = 1024 * 1024  # the size of a split chunk's ranged GETs
+MAX_CONNECTIONS = 4  # a scan's concurrent chunk GETs
+ROW_GROUP_PREFETCH = 2  # row groups in flight
 
 
 @dataclass(frozen=True)
@@ -98,41 +90,33 @@ def _filter_batch(decoded: dict, projection, checks) -> list[list]:
     return [list(map(decoded[c].__getitem__, selected)) for c in projection]
 
 
-@dataclass(frozen=True)
-class PlanItem:
-    level: int
-    group: int
-    column: str
-    start: int
-    length: int
-
-
 def plan_downloads(
-    footer: lcf.FileFooter,
-    surviving: list[int],
-    columns: tuple[str, ...],
-    config: ScanConfig,
-) -> list[PlanItem]:
-    """Static data-request plan for one file's surviving groups."""
+    footer: lcf.FileFooter, surviving: list[int], columns: tuple[str, ...]
+) -> list[list[tuple[str, int, int]]]:
+    """One list of (column, start, length) reads per surviving group.
+
+    A chunk is one read unless the in-flight groups' chunks leave some of
+    the `MAX_CONNECTIONS` idle; then a chunk over `CHUNK_SIZE_BYTES` is
+    split into ranged reads of that size, in offset order.
+    """
     if not surviving:
         raise ValueError("plan needs at least one surviving group")
     col_idx = [footer.schema.index_of(c) for c in columns]
-    level = 2 if len(surviving) == 1 else 3
-    in_flight_groups = 1 if level == 2 else min(ROW_GROUP_PREFETCH, len(surviving))
-    budget = len(columns) * in_flight_groups
-    allow_split = budget < config.max_connections
-    items: list[PlanItem] = []
+    window = min(ROW_GROUP_PREFETCH, len(surviving))
+    split = len(columns) * window < MAX_CONNECTIONS
+    plan = []
     for g in surviving:
-        rg = footer.row_groups[g]
+        reads = []
         for name, ci in zip(columns, col_idx):
-            chunk = rg.chunks[ci]
-            if allow_split and chunk.compressed_len > config.chunk_size_bytes:
-                for off in range(0, chunk.compressed_len, config.chunk_size_bytes):
-                    length = min(config.chunk_size_bytes, chunk.compressed_len - off)
-                    items.append(PlanItem(1, g, name, chunk.offset + off, length))
+            chunk = footer.row_groups[g].chunks[ci]
+            if split and chunk.compressed_len > CHUNK_SIZE_BYTES:
+                for off in range(0, chunk.compressed_len, CHUNK_SIZE_BYTES):
+                    length = min(CHUNK_SIZE_BYTES, chunk.compressed_len - off)
+                    reads.append((name, chunk.offset + off, length))
             else:
-                items.append(PlanItem(level, g, name, chunk.offset, chunk.compressed_len))
-    return items
+                reads.append((name, chunk.offset, chunk.compressed_len))
+        plan.append(reads)
+    return plan
 
 
 @dataclass
@@ -172,40 +156,29 @@ class _Gate:
 
 
 def execute_scan(
-    sim,
-    ctx,
-    bucket: str,
-    paths: list[str],
-    predicates: PredicateSet,
-    config: ScanConfig | None = None,
-    prune: bool = True,
+    sim, ctx, bucket: str, paths: list[str], predicates: PredicateSet, prune: bool = True
 ):
     """Scan LCF files, yielding (batches, report).
 
     Batches are column-major tables in projection order, one per surviving
     row group, already filtered at row granularity.
     """
-    config = config or ScanConfig()
     report = ScanReport()
     start_us = sim.loop.now
-    gate = _Gate(config.max_connections)
-
-    # level 4: footers travel on their own logical connection
+    gate = _Gate(MAX_CONNECTIONS)
+    # footers are spawned up front and take no connection
     footer_tasks = {
         path: sim.loop.spawn(lcf.read_footer_ranged(sim, ctx, bucket, path)) for path in paths
     }
-
     projection = predicates.projection
     filter_only = tuple(
         dict.fromkeys(name for name, _, _ in predicates.intervals if name not in projection)
     )
 
-    def fetch_item(path, item):
+    def fetch(path, start, length):
         yield from gate.acquire()
         try:
-            data = yield from sim.store.get_object(
-                ctx, bucket, path, (item.start, item.start + item.length)
-            )
+            data = yield from sim.store.get_object(ctx, bucket, path, (start, start + length))
             return bytes(data)
         finally:
             gate.release()
@@ -222,72 +195,55 @@ def execute_scan(
         report.groups_read += len(surviving)
         if not surviving:
             continue
-        # the level and split budget count every filter column, as if each
-        # group fetched it; the plan then drops a filter-only column from the
-        # groups whose stats prove its intervals
-        plan = plan_downloads(footer, surviving, projection + filter_only, config)
-        reads: dict[int, tuple[tuple[str, ...], list]] = {}  # group -> (columns, checks)
-        by_group: dict[int, list[PlanItem]] = {g: [] for g in surviving}
-        for g in surviving:
+        # the split budget counts every filter-only column; a group then
+        # drops the reads of those whose intervals its stats prove, and a
+        # read wholly inside the tail is cut from it instead of bought
+        plan = plan_downloads(footer, surviving, projection + filter_only)
+        todo = deque()  # (row group, row checks, [(column, start, length, tail bytes or None)])
+        for g, planned in zip(surviving, plan):
             rg = footer.row_groups[g]
-            # the intervals the stats leave open: the rows need these checks
             checks = [iv for iv in predicates.intervals if not _stats_prove(footer.schema, rg, *iv)]
-            opened = {name for name, _, _ in checks}
-            reads[g] = (projection + tuple(c for c in filter_only if c in opened), checks)
-        # a range wholly inside the footer's tail read is cut from those
-        # bytes and bought with no GET; one that straddles the tail's start
-        # is fetched whole
-        served: dict[PlanItem, bytes] = {}
-        for item in plan:
-            if item.column in reads[item.group][0]:
-                by_group[item.group].append(item)
-                if item.start >= tail_start:
-                    at = item.start - tail_start
-                    served[item] = tail[at : at + item.length]
+            needed = set(projection).union(name for name, _, _ in checks)
+            reads = []
+            for name, start, length in planned:
+                if name in needed:
+                    at = start - tail_start
+                    reads.append((name, start, length, tail[at : at + length] if at >= 0 else None))
+            todo.append((rg, checks, reads))
         del tail
 
-        pending: deque[tuple[int, list]] = deque()
-        group_iter = iter(surviving)
+        in_flight = deque()
 
-        def launch_next_group():
-            g = next(group_iter, None)
-            if g is None:
-                return False
-            tasks = [
-                None if it in served else sim.loop.spawn(fetch_item(path, it))
-                for it in by_group[g]
-            ]
-            pending.append((g, tasks))
-            return True
+        def launch():
+            """Spawn the next groups' GETs, in plan order, up to the prefetch window."""
+            while todo and len(in_flight) < ROW_GROUP_PREFETCH:
+                rg, checks, reads = todo.popleft()
+                parts = [
+                    (name, sim.loop.spawn(fetch(path, start, length)) if data is None else data)
+                    for name, start, length, data in reads
+                ]
+                in_flight.append((rg, checks, parts))
 
-        window = 1 if len(surviving) == 1 else ROW_GROUP_PREFETCH
-        for _ in range(window):
-            if not launch_next_group():
-                break
-        while pending:
-            g, tasks = pending.popleft()
-            parts = []
-            for item, task in zip(by_group[g], tasks):
-                parts.append(served.pop(item) if task is None else (yield task))
-            launch_next_group()
-            rg = footer.row_groups[g]
-            columns, checks = reads[g]
-            # reassemble per column (level-1 splits arrive in offset order)
-            col_bytes: dict[str, list[bytes]] = {c: [] for c in columns}
-            for item, task, raw in zip(by_group[g], tasks, parts):
-                col_bytes[item.column].append(raw)
-                if task is not None:
+        launch()
+        while in_flight:
+            rg, checks, parts = in_flight.popleft()
+            # splits of one chunk arrive in offset order
+            col_bytes: dict[str, list[bytes]] = {}
+            for name, part in parts:
+                if not isinstance(part, bytes):
+                    part = yield part
                     report.requests += 1
-                    report.bytes += len(raw)
+                    report.bytes += len(part)
+                col_bytes.setdefault(name, []).append(part)
+            launch()
             decoded = {}
             total_encoded = 0
-            for name in columns:
+            for name, pieces in col_bytes.items():
                 ci = footer.schema.index_of(name)
-                chunk = rg.chunks[ci]
-                raw = b"".join(col_bytes[name])
+                raw = b"".join(pieces)
                 total_encoded += len(raw)
                 decoded[name] = lcf.decode_chunk(
-                    chunk, raw, footer.schema.columns[ci][1], rg.row_count
+                    rg.chunks[ci], raw, footer.schema.columns[ci][1], rg.row_count
                 )
             cycles = sim.cfg.decode_cycles_per_byte * total_encoded
             if cycles:

@@ -7,6 +7,7 @@ are virtual.  All operations are generators meant to be driven with
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left, insort
 from collections import deque
@@ -334,9 +335,8 @@ class MessageQueue:
     with MaxNumberOfMessages does.
     """
 
-    def __init__(self, sim: "CloudSim", name: str):
+    def __init__(self, sim: "CloudSim"):
         self.sim = sim
-        self.name = name
         self._messages: deque = deque()
         self._receives: deque[Future] = deque()
 
@@ -347,30 +347,18 @@ class MessageQueue:
         else:
             self._messages.append(message)
 
-    def poll(self, ctx: HostContext, timeout_us: int | None = None) -> Generator:
+    def poll(self, ctx: HostContext) -> Generator:
         """Receive a list of messages, oldest first; returns the list.
 
-        On an empty queue the receive waits for the first message (or raises
-        `Timeout` once `timeout_us` has passed).  It then takes the latency
-        and fills the batch with whatever is queued by then.  The list is
-        empty only if another receiver drained the queue during the latency.
+        On an empty queue the receive waits for the first message.  It then
+        takes the latency and fills the batch with whatever is queued by
+        then.  The list is empty only if another receiver drained the queue
+        during the latency.
         """
         batch = []
         if not self._messages:
             fut = Future()
             self._receives.append(fut)
-            if timeout_us is not None:
-                deadline = self.sim.loop.now + timeout_us
-
-                def expire():
-                    if not fut.done:
-                        try:
-                            self._receives.remove(fut)
-                        except ValueError:
-                            pass
-                        fut.set_error(errors.Timeout(f"queue {self.name}: no message within timeout"))
-
-                self.sim.loop.call_at(deadline, expire)
             batch.append((yield fut))
         yield Sleep(self.sim.cfg.queue_poll_latency_ms * US_PER_MS)
         messages = self._messages
@@ -478,10 +466,11 @@ class CloudSim:
         self.store = ObjectStore(self)
         self.faas = FaaSService(self)
         self._queues: dict[str, MessageQueue] = {}
+        self.query_ids = itertools.count(1)  # numbers the engine's queries
 
     def queue(self, name: str) -> MessageQueue:
         if name not in self._queues:
-            self._queues[name] = MessageQueue(self, name)
+            self._queues[name] = MessageQueue(self)
         return self._queues[name]
 
     def driver(self, name: str = "driver") -> HostContext:

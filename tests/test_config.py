@@ -80,7 +80,6 @@ def test_explicit_path_beats_env(tmp_path, monkeypatch):
 SRC = Path(__file__).resolve().parent.parent / "src" / "lambada_lab"
 CONFIG_CLASSES = {
     "SimConfig",
-    "ScanConfig",
     "ExchangeConfig",
     "FunctionSpec",
     "GenSpec",

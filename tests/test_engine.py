@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lambada_lab import datagen, engine, errors, invoke, lcf
 from lambada_lab.billing import READ
+from lambada_lab.clock import AllOf
 from lambada_lab.config import MIB, SimConfig
 from lambada_lab.substrate import CloudSim, FunctionSpec
 
@@ -407,6 +408,25 @@ class TestFailureModes:
         rows, _ = run_query(sim, plan, keys)
         assert rows == engine.reference_execute(tables, datagen.COLUMNS, plan)
         assert sim.store.bucket(engine.SPILL_BUCKET).objects
+
+
+class TestConcurrentQueries:
+    """Each query on a sim has its own result queue and spill keys."""
+
+    @pytest.mark.parametrize("spill", [False, True])
+    def test_two_queries_on_one_sim_are_oracle_exact(self, spill, monkeypatch):
+        if spill:
+            monkeypatch.setattr(engine, "QUEUE_PAYLOAD_CAP", 0)
+        sim, keys, tables = setup_data(rows=1600, files=4)
+        plans = [engine.q1_plan(datagen.SHIPDATE_DAYS // 2), engine.q6_plan(0, 2000)]
+
+        def main():
+            return (yield AllOf([sim.loop.spawn(engine.execute(sim, p, keys)) for p in plans]))
+
+        for plan, (rows, _) in zip(plans, sim.loop.run_task(main())):
+            assert rows == engine.reference_execute(tables, datagen.COLUMNS, plan)
+        spilled = sim.store.bucket(engine.SPILL_BUCKET).objects
+        assert len(spilled) == (2 * len(keys) if spill else 0)
 
 
 class TestOverlappedCollect:

@@ -1,6 +1,7 @@
 import hashlib
 import struct
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -51,13 +52,9 @@ def rows_of(batches):
     return [row for batch in batches for row in zip(*batch)]
 
 
-def run_scan(sim, paths, predicates, config=None, prune=True, bucket="data"):
+def run_scan(sim, paths, predicates, prune=True, bucket="data"):
     def main():
-        return (
-            yield from scan.execute_scan(
-                sim, sim.driver(), bucket, paths, predicates, config, prune
-            )
-        )
+        return (yield from scan.execute_scan(sim, sim.driver(), bucket, paths, predicates, prune))
 
     return sim.loop.run_task(main())
 
@@ -104,16 +101,18 @@ class TestPlanner:
         data, _ = make_file(groups, names)
         return lcf.read_footer(data), names
 
-    def test_pipelined_groups_are_level_three(self):
+    def test_pipelined_groups_read_each_chunk_whole(self):
         footer, names = self._footer(8, 4)
-        plan = scan.plan_downloads(footer, list(range(8)), names, scan.ScanConfig())
-        assert len(plan) == 32
-        assert {item.level for item in plan} == {3}
+        plan = scan.plan_downloads(footer, list(range(8)), names)
+        assert len(plan) == 8
+        for rg, reads in zip(footer.row_groups, plan):
+            assert reads == [(n, c.offset, c.compressed_len) for n, c in zip(names, rg.chunks)]
 
-    def test_single_group_is_level_two_on_distinct_slots(self):
+    def test_single_group_reads_one_range_per_column(self):
         footer, names = self._footer(1, 4)
-        plan = scan.plan_downloads(footer, [0], names, scan.ScanConfig())
-        assert {item.level for item in plan} == {2}
+        plan = scan.plan_downloads(footer, [0], names)
+        chunks = footer.row_groups[0].chunks
+        assert plan == [[(n, c.offset, c.compressed_len) for n, c in zip(names, chunks)]]
 
     def test_idle_connections_trigger_chunk_splitting(self):
         chunk_len = MIB
@@ -130,18 +129,19 @@ class TestPlanner:
                 ),
             ),
         )
-        cfg = scan.ScanConfig(chunk_size_bytes=256 * 1024)
-        plan = scan.plan_downloads(footer, [0], ("x",), cfg)
-        assert len(plan) == 4
-        assert {item.level for item in plan} == {1}
-        assert [item.start for item in plan] == [0, 256 * 1024, 512 * 1024, 768 * 1024]
+        with mock.patch.object(scan, "CHUNK_SIZE_BYTES", 256 * 1024):
+            [reads] = scan.plan_downloads(footer, [0], ("x",))
+        assert len(reads) == 4
+        assert [start for _, start, _ in reads] == [0, 256 * 1024, 512 * 1024, 768 * 1024]
+        assert {length for _, _, length in reads} == {256 * 1024}
 
     def test_saturated_levels_suppress_splitting(self):
         footer, names = self._footer(8, 4)
-        plan = scan.plan_downloads(
-            footer, list(range(8)), names, scan.ScanConfig(chunk_size_bytes=64 * 1024)
-        )
-        assert all(item.level != 1 for item in plan)
+        with mock.patch.object(scan, "CHUNK_SIZE_BYTES", 64 * 1024):
+            plan = scan.plan_downloads(footer, list(range(8)), names)
+        assert sum(map(len, plan)) == 32
+        for rg, reads in zip(footer.row_groups, plan):
+            assert [start for _, start, _ in reads] == [c.offset for c in rg.chunks]
 
 
 class TestExecute:
@@ -202,8 +202,8 @@ class TestExecute:
         assert all(c.compressed_len == 2 * 64 * 1024 for c in footer.row_groups[0].chunks)
         sim = seeded_sim({"f.lcf": data})
         preds = scan.PredicateSet((("f", 0, rows),), ("c0", "c1", "c2"))
-        cfg = scan.ScanConfig(chunk_size_bytes=64 * 1024)
-        batches, report = run_scan(sim, ["f.lcf"], preds, cfg)
+        with mock.patch.object(scan, "CHUNK_SIZE_BYTES", 64 * 1024):
+            batches, report = run_scan(sim, ["f.lcf"], preds)
         assert batches == [[list(range(rows))] * 3]
         assert report.requests == 1 + 3 == sim.ledger.count(READ)
 
@@ -291,8 +291,8 @@ class TestExecute:
         data = bytes(chunk_len) + raw_footer + struct.pack("<I", len(raw_footer)) + lcf.MAGIC
         sim = seeded_sim({"big.lcf": data})
         preds = scan.PredicateSet((), ("x",))
-        cfg = scan.ScanConfig(chunk_size_bytes=64 * 1024)
-        _, report = run_scan(sim, ["big.lcf"], preds, cfg)
+        with mock.patch.object(scan, "CHUNK_SIZE_BYTES", 64 * 1024):
+            _, report = run_scan(sim, ["big.lcf"], preds)
         data_requests = report.requests - 1
         assert data_requests == 1024
         price = sim.prices.request_price("read")
@@ -306,7 +306,8 @@ class TestExecute:
         for size in (64 * 1024, 128 * 1024, 256 * 1024):
             sim = seeded_sim({"f.lcf": data})
             preds = scan.PredicateSet((), ("x",))
-            _, report = run_scan(sim, ["f.lcf"], preds, scan.ScanConfig(chunk_size_bytes=size))
+            with mock.patch.object(scan, "CHUNK_SIZE_BYTES", size):
+                _, report = run_scan(sim, ["f.lcf"], preds)
             counts.append(report.requests)
         assert counts == sorted(counts, reverse=True)
         assert counts[0] > counts[-1]
@@ -319,9 +320,8 @@ class TestExecute:
         for conns in (1, 2, 4):
             sim = seeded_sim({"f.lcf": data})
             preds = scan.PredicateSet((), names)
-            _, report = run_scan(
-                sim, ["f.lcf"], preds, scan.ScanConfig(max_connections=conns)
-            )
+            with mock.patch.object(scan, "MAX_CONNECTIONS", conns):
+                _, report = run_scan(sim, ["f.lcf"], preds)
             durations.append(report.duration_us)
         assert durations == sorted(durations, reverse=True)
 
@@ -430,15 +430,15 @@ class TestTailReads:
         data, _ = make_file(groups)
         footer = lcf.read_footer(data)
         preds = scan.PredicateSet((("a", lo, lo + width),), ("a", "b"))
-        cfg = scan.ScanConfig(chunk_size_bytes=chunk_size)
         tail_start = max(0, len(data) - lcf.FOOTER_TAIL_WINDOW)
         surviving = scan.prune_row_groups(footer, preds)
-        plan = scan.plan_downloads(footer, surviving, ("a", "b"), cfg) if surviving else []
-        bought = [item for item in plan if item.start < tail_start]
         sim = seeded_sim({"f.lcf": data})
-        batches, report = run_scan(sim, ["f.lcf"], preds, cfg)
+        with mock.patch.object(scan, "CHUNK_SIZE_BYTES", chunk_size):
+            plan = scan.plan_downloads(footer, surviving, ("a", "b")) if surviving else []
+            batches, report = run_scan(sim, ["f.lcf"], preds)
+        bought = [length for reads in plan for _, start, length in reads if start < tail_start]
         assert report.requests == 1 + len(bought) == sim.ledger.count(READ)
-        assert report.bytes == sum(item.length for item in bought)
+        assert report.bytes == sum(bought)
         assert rows_of(batches) == filtered_rows(data, [(0, lo, lo + width)])
 
 

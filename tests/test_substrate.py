@@ -546,19 +546,6 @@ class TestQueue:
         assert run(sim, main()) == [b"payload"]
         assert sim.ledger.total_usd == 0  # queue traffic is not billed
 
-    def test_poll_timeout_is_exact(self):
-        sim = make_sim()
-        ctx = sim.driver()
-        q = sim.queue("empty")
-
-        def main():
-            try:
-                yield from q.poll(ctx, timeout_us=5 * US_PER_S)
-            except errors.Timeout:
-                return sim.loop.now
-
-        assert run(sim, main()) == 5 * US_PER_S
-
     def test_fifo_delivery_across_many_senders(self):
         sim = make_sim()
         q = sim.queue("results")
