@@ -88,6 +88,7 @@ class TestObjectStore:
         assert run(sim, main()) == b"6789"
 
     def test_missing_key_billed_and_raises(self):
+        # the error surfaces one first-byte latency after the call
         sim = make_sim()
         ctx = sim.driver()
         sim.store.create_bucket("b")
@@ -98,6 +99,20 @@ class TestObjectStore:
         with pytest.raises(errors.NotFound):
             run(sim, main())
         assert sim.ledger.count(READ, "b") == 1
+        assert sim.loop.now == ctx.first_byte_latency_us == 20_000
+
+    def test_range_past_the_end_billed_and_raises(self):
+        sim = make_sim()
+        ctx = sim.driver()
+        sim.store.seed_object("b", "k", b"0123456789")
+
+        def main():
+            yield from sim.store.get_object(ctx, "b", "k", (11, 20))
+
+        with pytest.raises(errors.InvalidRange):
+            run(sim, main())
+        assert sim.ledger.count(READ, "b") == 1
+        assert sim.loop.now == ctx.first_byte_latency_us == 20_000
 
     def test_sequential_vs_concurrent_gib_download(self):
         # 1024 x 1 MiB on one connection ~= 31.9 s; 4 connections ~= 11.4 s
