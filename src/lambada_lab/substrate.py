@@ -237,12 +237,16 @@ class ObjectStore:
         if size > self.sim.cfg.max_key_bytes:
             raise errors.KeyTooLong(f"key is {size} bytes, limit is {self.sim.cfg.max_key_bytes}")
 
-    def _request(self, ctx: HostContext, b: Bucket, category: str) -> Generator:
-        """Admit, bill and open one request: the path every store call takes.
+    def _request(self, b: Bucket, category: str) -> Generator:
+        """Admit and bill one request: the path every store call takes.
 
         Admission retries against the bucket's rate limiter after each
-        throttle; the request is billed once admitted and then waits for its
-        first byte.
+        throttle; the request is billed once admitted.  It does not wait for
+        its first byte: the caller sleeps once from the admission, to the end
+        of its transfer (GET, PUT) or to its first byte (LIST).  Reserving a
+        NIC at admission, for a transfer that starts at the first byte,
+        keeps the order of its reservations: a NIC carries one host's
+        transfers, and they share one first-byte latency.
         """
         sim = self.sim
         cfg = sim.cfg
@@ -257,21 +261,18 @@ class ObjectStore:
             retries += 1
             yield Sleep(cfg.throttle_retry_delay_ms * US_PER_MS)
         sim.ledger.charge_request(category, b.name)
-        yield Sleep(ctx.first_byte_latency_us)
-
-    def _transfer(self, nic: Nic, nbytes: int) -> Generator:
-        """Move `nbytes` through `nic`, waiting until the transfer finishes."""
-        now = self.sim.loop.now
-        finish = nic.reserve(nbytes, now)
-        if finish > now:
-            yield Sleep(finish - now)
 
     def put_object(self, ctx: HostContext, bucket: str, key: str, data) -> Generator:
-        """Write an object. Overwrites atomically once the upload finishes."""
+        """Write an object. Overwrites atomically once the upload finishes.
+
+        The upload starts on the host's egress NIC at the first byte and the
+        request sleeps once, to its end.
+        """
         b = self.bucket(bucket)
         self._check_key(key)
-        yield from self._request(ctx, b, WRITE)
-        yield from self._transfer(ctx.egress, len(data))
+        yield from self._request(b, WRITE)
+        now = self.sim.loop.now
+        yield Sleep(ctx.egress.reserve(len(data), now + ctx.first_byte_latency_us) - now)
         b.write(key, data)
 
     def get_object(
@@ -284,15 +285,21 @@ class ObjectStore:
         """Read an object or a byte range of it; returns the bytes.
 
         A range with a negative start addresses the object's tail (suffix
-        read), mirroring HTTP suffix ranges.  Requests for missing keys are
-        billed like any other and raise NotFound.  The bytes are sliced
-        before the transfer, so an overwrite while it runs cannot change them.
+        read), mirroring HTTP suffix ranges.  The key and the range are
+        checked at admission; a missing key (NotFound) or a bad range
+        (InvalidRange) is billed like any other request and raises at the
+        first byte.  Otherwise the transfer starts on the host's ingress NIC
+        at the first byte and the request sleeps once, to its end.  It
+        returns the bytes of the version present at admission, sliced at
+        the end of the transfer, so an overwrite while it runs cannot change
+        them.
         """
         b = self.bucket(bucket)
-        yield from self._request(ctx, b, READ)
-        if key not in b.objects:
+        yield from self._request(b, READ)
+        obj = b.objects.get(key)
+        if obj is None:
+            yield Sleep(ctx.first_byte_latency_us)
             raise errors.NotFound(f"{bucket}/{key}")
-        obj = b.objects[key]
         size = len(obj)
         if byte_range is None:
             lo, hi = 0, size
@@ -303,10 +310,11 @@ class ObjectStore:
             else:
                 hi = size if hi is None else min(hi, size)
             if lo > size or hi < lo:
+                yield Sleep(ctx.first_byte_latency_us)
                 raise errors.InvalidRange(f"range [{lo}, {hi}) of object of size {size}")
-        data = obj[lo:hi]
-        yield from self._transfer(ctx.ingress, hi - lo)
-        return data
+        now = self.sim.loop.now
+        yield Sleep(ctx.ingress.reserve(hi - lo, now + ctx.first_byte_latency_us) - now)
+        return obj[lo:hi]
 
     def list_objects(self, ctx: HostContext, bucket: str, prefix: str = "") -> Generator:
         """List keys with `prefix`, lexicographically sorted. Billed as a write.
@@ -315,7 +323,8 @@ class ObjectStore:
         returns a new list.
         """
         b = self.bucket(bucket)
-        yield from self._request(ctx, b, LIST)
+        yield from self._request(b, LIST)
+        yield Sleep(ctx.first_byte_latency_us)
         keys = b.keys
         lo = bisect_left(keys, prefix)
         # every key with the prefix sorts below the prefix's successor: drop

@@ -233,16 +233,16 @@ class TestEventCount:
 
     def test_offsets_in_name_exchange(self, scheduled):
         self.run_exchange(exchange.WC_OFFSETS_IN_NAME)
-        assert len(scheduled) == 462
+        assert len(scheduled) == 302
         assert self.digest(scheduled) == (
-            "bb3326cbce01bbf35a208e662ee4d68811adf224f5ca381f1db0a1e09e5a6a56"
+            "8ab65ae9aa3cc6b1a365dd670e67b8b965f097235809e3835e3da9b5e633ff96"
         )
 
     def test_wc_off_exchange(self, scheduled):
         self.run_exchange(exchange.WC_OFF)
-        assert len(scheduled) == 530
+        assert len(scheduled) == 274
         assert self.digest(scheduled) == (
-            "e9a6edb1403aafced3c693a844555bdfb126065c53ec21643dd793efbd127514"
+            "1954db4c0c0223ded642ee0fe960106a6fb27004d9db97ba848fcc2f35dddcc2"
         )
 
     def test_two_level_query(self, scheduled):
@@ -253,7 +253,7 @@ class TestEventCount:
         keys = datagen.gen(sim, spec, 7)
         plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
         sim.loop.run_task(engine.execute(sim, plan, keys, strategy=invoke.TWO_LEVEL))
-        assert len(scheduled) == 1135
+        assert len(scheduled) == 895
         assert self.digest(scheduled) == (
-            "5f37837991023ff9a8ba1ae8e82dd17d8d3fef108b5307a51652daad99ce55bb"
+            "67700c4708d06f65b759b545c6ff5d98756482ec8c55317ff802a4d3462b41a7"
         )
