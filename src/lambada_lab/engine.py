@@ -20,7 +20,7 @@ from . import errors, invoke
 from .billing import format_usd
 from .config import MIB
 from .scan import PredicateSet, execute_scan
-from .substrate import FunctionSpec
+from .substrate import FunctionSpec, MessageQueue
 
 QUEUE_PAYLOAD_CAP = 256 * 1024
 SPILL_BUCKET = "query-results"
@@ -315,9 +315,9 @@ def execute(
         raise ValueError("files_per_worker must be >= 1")
     W = math.ceil(len(paths) / files_per_worker)
     shares = [paths[w * files_per_worker : (w + 1) * files_per_worker] for w in range(W)]
-    # the query's number on this sim scopes its result queue and spill keys
-    query = f"q{next(sim.query_ids)}"
-    queue = sim.queue(f"results-{query}")
+    # the query's number on this sim scopes its spill keys
+    query = f"q{next(sim.run_ids)}"
+    queue = MessageQueue(sim)
     sim.store.create_bucket(SPILL_BUCKET)
 
     def fragment(ctx, wid, data):
@@ -359,6 +359,7 @@ def execute(
                 if "spilled" in message:
                     spill_bucket, key = message["spilled"]
                     raw = yield from sim.store.get_object(driver, spill_bucket, key)
+                    sim.store.bucket(spill_bucket).delete(key)
                     message = json.loads(bytes(raw))
                 partials.append(message["partial"])
         return partials

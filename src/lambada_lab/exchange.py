@@ -5,7 +5,8 @@ the files addressed to them; no worker-to-worker connections exist.  A k-level
 variant views worker ids as k base-s digits and exchanges one digit per round,
 trading extra data scans for far fewer requests.  Write combining packs all of
 a sender's partitions into one object per round, with the slice offsets
-encoded into the key name; receivers find those keys with a LIST.
+encoded into the key name; receivers find those keys with a LIST.  Each run
+is numbered on its sim, and every key starts with that number.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class ExchangeConfig:
     levels: int = 1
     write_combining: str = WC_OFF
     num_buckets: int = 1
-    bucket_prefix: str = "xchg"
 
     def __post_init__(self):
         if self.levels not in (1, 2, 3):
@@ -82,23 +82,31 @@ class ExchangeConfig:
 
 
 class NamingScheme:
-    """Bucket sharding + key templates for exchange files."""
+    """Bucket sharding + key templates for one exchange run's files.
 
-    def __init__(self, prefix: str, num_buckets: int):
-        self.prefix = prefix
+    Every key starts with ``x{run}/``, the run's number on its sim, so a
+    LIST never returns another run's files from the shared buckets.
+    """
+
+    def __init__(self, run: int, num_buckets: int):
+        self.run = run
         self.num_buckets = num_buckets
 
     def bucket(self, owner: int) -> str:
-        return f"{self.prefix}-{owner % self.num_buckets}"
+        return f"xchg-{owner % self.num_buckets}"
 
     def all_buckets(self) -> list[str]:
-        return [f"{self.prefix}-{i}" for i in range(self.num_buckets)]
+        return [f"xchg-{i}" for i in range(self.num_buckets)]
+
+    def level_prefix(self, level: int) -> str:
+        """Prefix of every offsets-in-name key of one round."""
+        return f"x{self.run}/l{level}/s"
 
     def plain_key(self, level: int, sender: int, receiver: int) -> str:
-        return f"l{level}/s{sender}/r{receiver}"
+        return f"x{self.run}/l{level}/s{sender}/r{receiver}"
 
     def in_name_key(self, level: int, sender: int, offsets: list[int]) -> str:
-        return f"l{level}/s{sender}-" + "_".join(str(o) for o in offsets) + "-off"
+        return self.level_prefix(level) + f"{sender}-" + "_".join(map(str, offsets)) + "-off"
 
     @staticmethod
     def parse_in_name(key: str) -> tuple[int, list[int]]:
@@ -146,15 +154,9 @@ class _ExchangeRun:
         self.P = P
         self.cfg = cfg
         self.s = ceil_root(P, cfg.levels)
-        self.naming = NamingScheme(cfg.bucket_prefix, cfg.num_buckets)
+        self.naming = NamingScheme(next(sim.run_ids), cfg.num_buckets)
         for name in self.naming.all_buckets():
-            # keys are not scoped by run: a LIST would return an earlier
-            # run's files as this run's
-            if sim.store.create_bucket(name).objects:
-                raise ValueError(
-                    f"exchange bucket {name!r} already holds objects; give this "
-                    f"run a bucket_prefix other than {cfg.bucket_prefix!r}"
-                )
+            sim.store.create_bucket(name)
         self.senders = [sender_map(P, level, self.s) for level in range(cfg.levels)]
         self.bucket_of = [self.naming.bucket(q) for q in range(P)]  # worker -> its bucket
         # puts still to come per destination: (level, receiver) without write
@@ -247,7 +249,7 @@ class _ExchangeRun:
         # offsets in name: wait until every sender sharing a bucket with one
         # of ours has written, list the bucket, then issue ranged reads; the
         # first complete listing of a bucket in a round is parsed for everyone
-        prefix = f"l{level}/s"
+        prefix = naming.level_prefix(level)
         t0 = sim.loop.now
         for bucket in sorted({bucket_of[q] for q, _ in my_senders}):
             if not self.arrived[level, bucket].done:
@@ -273,20 +275,14 @@ def run_exchange(
     sim,
     inputs: dict[int, list[tuple[int, bytes]]],
     cfg: ExchangeConfig,
-    partitioner=None,
     ctx_factory=None,
 ):
-    """Repartition records so worker w ends with {r : partition(key) == w}.
+    """Repartition records so worker w ends with {r : r.key % P == w}.
 
     `inputs` maps worker id -> list of (key, value) records.  Returns
-    (outputs, trace); run it with ``sim.loop.run_task``.  Raises ValueError
-    if `partitioner` sends a key outside workers 0..P-1.
+    (outputs, trace); run it with ``sim.loop.run_task``.
     """
     P = len(inputs)
-    partitioner = partitioner or (lambda key: key % P)
-    stray = [k for recs in inputs.values() for k, _ in recs if not 0 <= partitioner(k) < P]
-    if stray:
-        raise ValueError(f"partitioner sends key {stray[0]} outside workers 0..{P - 1}")
     run = _ExchangeRun(sim, P, cfg)
     s = run.s
 
@@ -294,7 +290,7 @@ def run_exchange(
         base = s**level
         parts: list[list[tuple[int, bytes]]] = [[] for _ in range(s)]
         for rec in records:
-            parts[partitioner(rec[0]) // base % s].append(rec)
+            parts[rec[0] % P // base % s].append(rec)
         blobs = [encode_records(part) for part in parts]
         return b"".join(blobs), list(accumulate(map(len, blobs), initial=0))
 

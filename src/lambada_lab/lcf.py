@@ -23,8 +23,7 @@ FOOTER_TAIL_WINDOW = 64 * 1024
 INT64 = 0
 FLOAT64 = 1
 
-ENC_PLAIN = 0
-ENC_RLE = 1
+ENC_PLAIN = 0  # the only encoding; the footer keeps a byte for it
 
 _VALUE_PACK = {INT64: "<q", FLOAT64: "<d"}
 _PYTHON_TYPE = {INT64: int, FLOAT64: float}
@@ -94,67 +93,34 @@ def _check_values(name: str, values, typ) -> None:
             raise errors.TypeMismatch(f"column {name!r}: {value!r} is outside the INT64 range")
 
 
-def encode_chunk(values, typ: int, encoding: int) -> bytes:
-    pack = _VALUE_PACK[typ]
-    if encoding == ENC_PLAIN:
-        return struct.pack(f"<{len(values)}{pack[1:]}", *values)
-    if encoding == ENC_RLE:
-        out = []
-        run_value, run_len = values[0], 0
-        for v in values:
-            if v == run_value and run_len < 0xFFFFFFFF:
-                run_len += 1
-            else:
-                out.append(struct.pack(pack, run_value) + struct.pack("<I", run_len))
-                run_value, run_len = v, 1
-        out.append(struct.pack(pack, run_value) + struct.pack("<I", run_len))
-        return b"".join(out)
-    raise ValueError(f"unknown encoding {encoding}")
+def encode_chunk(values, typ: int) -> bytes:
+    """Plain encoding: the values' little-endian bytes, back to back."""
+    return struct.pack(f"<{len(values)}{_VALUE_PACK[typ][1]}", *values)
 
 
 def decode_chunk(meta: ColumnChunkMeta, data: bytes, typ: int, row_count: int) -> list:
-    """Inverse of the writer's encoder; yields exactly `row_count` values."""
+    """Inverse of `encode_chunk`; yields exactly `row_count` values."""
     if len(data) != meta.compressed_len:
         raise errors.CorruptChunk(
             f"chunk has {len(data)} bytes, metadata says {meta.compressed_len}"
         )
-    pack = _VALUE_PACK[typ]
-    if meta.encoding == ENC_PLAIN:
-        if len(data) != 8 * row_count:
-            raise errors.CorruptChunk("plain chunk length does not match row count")
-        if _LITTLE_ENDIAN_HOST:
-            # a cast view decodes without a temporary copy of the chunk;
-            # such copies raised the process's peak memory over many scans
-            return memoryview(data).cast(pack[1:]).tolist()
-        return list(struct.unpack(f"<{row_count}{pack[1:]}", data))
-    if meta.encoding == ENC_RLE:
-        if len(data) % 12 != 0:
-            raise errors.CorruptChunk("RLE chunk length not a multiple of 12")
-        values: list = []
-        decoded = 0
-        for value, count in struct.iter_unpack(pack + "I", data):
-            decoded += count
-            # checked before the run is expanded: a corrupt u32 count would
-            # otherwise ask for up to 2**32 list slots
-            if decoded > row_count:
-                raise errors.CorruptChunk(
-                    f"RLE chunk decodes to more than {row_count} rows"
-                )
-            values.extend(repeat(value, count))
-        if decoded != row_count:
-            raise errors.CorruptChunk(
-                f"RLE chunk decoded to {decoded} rows, expected {row_count}"
-            )
-        return values
-    raise errors.CorruptChunk(f"unknown encoding id {meta.encoding}")
+    if meta.encoding != ENC_PLAIN:
+        raise errors.CorruptChunk(f"unknown encoding id {meta.encoding}")
+    if len(data) != 8 * row_count:
+        raise errors.CorruptChunk("plain chunk length does not match row count")
+    code = _VALUE_PACK[typ][1]
+    if _LITTLE_ENDIAN_HOST:
+        # a cast view decodes without a temporary copy of the chunk;
+        # such copies raised the process's peak memory over many scans
+        return memoryview(data).cast(code).tolist()
+    return list(struct.unpack(f"<{row_count}{code}", data))
 
 
-def write_file(schema: Schema, row_groups, rle_columns=()) -> bytes:
+def write_file(schema: Schema, row_groups) -> bytes:
     """Serialize column-major row groups into one LCF byte string.
 
     `row_groups` is a list of tables; each table is a list of per-column value
-    lists in schema order.  Columns named in `rle_columns` are run-length
-    encoded; all others are plain.
+    lists in schema order.  Every chunk is plain-encoded.
     """
     body = bytearray()
     metas = []
@@ -175,14 +141,13 @@ def write_file(schema: Schema, row_groups, rle_columns=()) -> bytes:
             stats = ColumnStats(min(values), max(values))
             if typ == INT64 and not _INT64_MIN <= stats.min_value <= stats.max_value <= _INT64_MAX:
                 _check_values(name, values, typ)
-            encoding = ENC_RLE if name in rle_columns else ENC_PLAIN
-            encoded = encode_chunk(values, typ, encoding)
+            encoded = encode_chunk(values, typ)
             chunks.append(
                 ColumnChunkMeta(
                     offset=len(body),
                     compressed_len=len(encoded),
                     uncompressed_len=8 * row_count,
-                    encoding=encoding,
+                    encoding=ENC_PLAIN,
                     stats=stats,
                 )
             )

@@ -206,6 +206,12 @@ class Bucket:
             insort(self.keys, key)
         self.objects[key] = data
 
+    def delete(self, key: str) -> None:
+        """Drop `key` and its index entry.  Not billed and takes no virtual
+        time: a DELETE is free, and its caller issues it after its read."""
+        del self.objects[key]
+        del self.keys[bisect_left(self.keys, key)]
+
 
 class ObjectStore:
     def __init__(self, sim: "CloudSim"):
@@ -474,13 +480,8 @@ class CloudSim:
         self.ledger = BillingLedger(self.prices)
         self.store = ObjectStore(self)
         self.faas = FaaSService(self)
-        self._queues: dict[str, MessageQueue] = {}
-        self.query_ids = itertools.count(1)  # numbers the engine's queries
-
-    def queue(self, name: str) -> MessageQueue:
-        if name not in self._queues:
-            self._queues[name] = MessageQueue(self)
-        return self._queues[name]
+        # numbers queries and exchange runs; the number scopes their keys
+        self.run_ids = itertools.count(1)
 
     def driver(self, name: str = "driver") -> HostContext:
         return HostContext(self, name, invoke_rate_per_s=self.cfg.driver_invoke_rate_per_s)

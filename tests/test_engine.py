@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lambada_lab import datagen, engine, errors, invoke, lcf
-from lambada_lab.billing import READ
+from lambada_lab.billing import READ, WRITE
 from lambada_lab.clock import AllOf
 from lambada_lab.config import MIB, SimConfig
 from lambada_lab.substrate import CloudSim, FunctionSpec
@@ -407,7 +407,9 @@ class TestFailureModes:
         )
         rows, _ = run_query(sim, plan, keys)
         assert rows == engine.reference_execute(tables, datagen.COLUMNS, plan)
-        assert sim.store.bucket(engine.SPILL_BUCKET).objects
+        assert sim.ledger.count(WRITE, engine.SPILL_BUCKET) == len(keys)
+        # the driver removes each spilled partial once it has read it
+        assert not sim.store.bucket(engine.SPILL_BUCKET).objects
 
 
 class TestConcurrentQueries:
@@ -425,8 +427,31 @@ class TestConcurrentQueries:
 
         for plan, (rows, _) in zip(plans, sim.loop.run_task(main())):
             assert rows == engine.reference_execute(tables, datagen.COLUMNS, plan)
-        spilled = sim.store.bucket(engine.SPILL_BUCKET).objects
-        assert len(spilled) == (2 * len(keys) if spill else 0)
+        spilled = sim.ledger.count(WRITE, engine.SPILL_BUCKET)
+        assert spilled == (2 * len(keys) if spill else 0)
+        assert not sim.store.bucket(engine.SPILL_BUCKET).objects
+
+    def test_sequential_queries_leave_no_spill_objects(self, monkeypatch):
+        # every partial spills; each query's driver removes its own spill
+        # objects after reading them, off the query's latency and bill
+        monkeypatch.setattr(engine, "QUEUE_PAYLOAD_CAP", 0)
+        sim, keys, tables = setup_data(rows=1600, files=4)
+        plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
+        expected = engine.reference_execute(tables, datagen.COLUMNS, plan)
+        reports = []
+        for _ in range(3):
+            rows, report = run_query(sim, plan, keys)
+            assert rows == expected
+            reports.append(report.to_csv_row())
+        assert not sim.store.bucket(engine.SPILL_BUCKET).objects
+        assert sim.ledger.count(WRITE, engine.SPILL_BUCKET) == 3 * len(keys)
+        # the reports of the same queries before spill objects were removed;
+        # invoke_makespan_us counts from the sim's start, not the query's
+        assert reports == [
+            "4,250256,112000,88004,1,2.32e-05,6.633264e-06,2.9833264e-05",
+            "4,250256,362256,88004,1,2.32e-05,6.633264e-06,2.9833264e-05",
+            "4,250256,612512,88004,1,2.32e-05,6.633264e-06,2.9833264e-05",
+        ]
 
 
 class TestOverlappedCollect:

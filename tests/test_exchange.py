@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambada_lab import errors, exchange
+from lambada_lab import datagen, engine, errors, exchange
 from lambada_lab.billing import LIST, READ, WRITE
 from lambada_lab.config import SimConfig
 from lambada_lab.clock import US_PER_MS
@@ -161,16 +161,6 @@ class TestMultiLevel:
         assert sum(sizes.values()) == total
         assert len(trace) == P * levels
 
-    def test_partitioner_outside_workers_rejected(self):
-        sim = fresh_sim()
-        with pytest.raises(ValueError, match="outside workers"):
-            exchange.run_exchange(
-                sim,
-                make_inputs(5, 12),
-                exchange.ExchangeConfig(levels=2),
-                partitioner=lambda key: key,
-            )
-
 
 class TestWriteCombining:
     @pytest.mark.parametrize("mode", [exchange.WC_OFFSETS_IN_NAME])
@@ -194,33 +184,13 @@ class TestWriteCombining:
         assert sim.ledger.count(READ) == 2 * P * 4
         assert sim.ledger.count(LIST) == 2 * P
 
-    def test_second_run_on_used_buckets_rejected(self):
-        sim = fresh_sim()
-        cfg = exchange.ExchangeConfig(write_combining=exchange.WC_OFFSETS_IN_NAME)
-        first, _ = run(sim, {0: [(1, b"x" * 5)], 1: []}, cfg)
-        assert first == {0: [], 1: [(1, b"x" * 5)]}
-        requests = [sim.ledger.count(c) for c in (READ, WRITE, LIST)]
-        with pytest.raises(ValueError, match="'xchg-0'.*'xchg'"):
-            run(sim, {0: [(1, b"z" * 90)], 1: []}, cfg)
-        assert [sim.ledger.count(c) for c in (READ, WRITE, LIST)] == requests
-        other = exchange.ExchangeConfig(
-            write_combining=exchange.WC_OFFSETS_IN_NAME, bucket_prefix="xchg2"
-        )
-        second, _ = run(sim, {0: [(1, b"z" * 90)], 1: []}, other)
-        assert second == {0: [], 1: [(1, b"z" * 90)]}
-
     def test_empty_partition_boundary_offsets(self):
-        # worker 0 keeps everything; others ship empty slices
+        # keys 0 and 4 both route to worker 0 at P = 4: worker 0 keeps
+        # everything and every worker ships empty slices
         sim = fresh_sim()
         inputs = {0: [(0, b"abc"), (4, b"de")], 1: [], 2: [], 3: []}
         cfg = exchange.ExchangeConfig(levels=1, write_combining=exchange.WC_OFFSETS_IN_NAME)
-
-        def zero_all(key):
-            return 0
-
-        outputs, _ = sim.loop.run_task(
-            exchange.run_exchange(sim, inputs, cfg, partitioner=zero_all)
-        )
+        outputs, _ = sim.loop.run_task(exchange.run_exchange(sim, inputs, cfg))
         assert sorted(outputs[0]) == [(0, b"abc"), (4, b"de")]
         assert outputs[1] == outputs[2] == outputs[3] == []
 
@@ -269,12 +239,12 @@ class TestWriteCombining:
         assert len(receivers) == P - 1 and all(t.wait_us > 0 for t in receivers)
         # each receiver's wait ends at the very instant the slow sender's
         # file for it lands: its first read goes out then
-        naming = exchange.NamingScheme(cfg.bucket_prefix, cfg.num_buckets)
+        naming = exchange.NamingScheme(1, cfg.num_buckets)  # the sim's first run
         for t in receivers:
             if mode == exchange.WC_OFF:
                 key = naming.plain_key(0, slow, t.worker)
             else:
-                (key,) = [k for k in landed if k.startswith(f"l0/s{slow}-")]
+                (key,) = [k for k in landed if k.startswith(f"x1/l0/s{slow}-")]
             assert first_read[f"xw{t.worker}"] == landed[key]
         # waiting is free: still one GET per inbound file
         variant = "1l-wc" if mode == exchange.WC_OFFSETS_IN_NAME else "1l"
@@ -307,10 +277,50 @@ class TestWriteCombining:
         assert isinstance(cause, ValueError) and "injected egress fault" in str(cause)
 
     def test_in_name_key_round_trip(self):
-        naming = exchange.NamingScheme("xchg", 1)
+        naming = exchange.NamingScheme(3, 1)
         key = naming.in_name_key(1, 12, [0, 5, 5, 19])
-        assert key.endswith("-off")
+        assert key == "x3/l1/s12-0_5_5_19-off"
+        assert key.startswith(naming.level_prefix(1))
         assert exchange.NamingScheme.parse_in_name(key) == (12, [0, 5, 5, 19])
+
+
+def ledger_counts(sim):
+    return sim.ledger.count(READ), sim.ledger.count(WRITE), sim.ledger.count(LIST)
+
+
+class TestRunsOnOneSim:
+    """Each run on a sim is numbered and its keys carry the number, so a run
+    never sees an earlier run's files in the shared buckets."""
+
+    @pytest.mark.parametrize("mode", exchange._WC_MODES)
+    def test_two_runs_on_one_sim(self, mode):
+        # the second run's LIST must not return the first run's key, whose
+        # offsets would cut 5 bytes out of the second run's 90
+        sim = fresh_sim()
+        cfg = exchange.ExchangeConfig(write_combining=mode)
+        variant = "1l-wc" if mode == exchange.WC_OFFSETS_IN_NAME else "1l"
+        row = exchange.exchange_cost(2, variant, sim.prices)
+        for value in (b"x" * 5, b"z" * 90):
+            inputs = {0: [(1, value)], 1: []}
+            before = ledger_counts(sim)
+            outputs, _ = run(sim, inputs, cfg)
+            assert outputs == oracle(inputs, 2) == {0: [], 1: [(1, value)]}
+            delta = tuple(b - a for a, b in zip(before, ledger_counts(sim)))
+            assert delta == (row.reads, row.writes, row.lists)
+        assert sorted(sim.store.buckets) == ["xchg-0"]
+
+    def test_query_exchange_query_on_one_sim(self):
+        sim = fresh_sim()
+        spec = datagen.GenSpec(scale_bytes=datagen.ROW_BYTES * 400, files=2, rows_per_group=100)
+        keys = datagen.gen(sim, spec, 7)
+        tables = datagen.generate_tables(spec, 7)
+        plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
+        expected = engine.reference_execute(tables, datagen.COLUMNS, plan)
+        cfg = exchange.ExchangeConfig(levels=2, write_combining=exchange.WC_OFFSETS_IN_NAME)
+        inputs = make_inputs(9, 45)
+        assert sim.loop.run_task(engine.execute(sim, plan, keys))[0] == expected
+        assert run(sim, inputs, cfg)[0] == oracle(inputs, 9)
+        assert sim.loop.run_task(engine.execute(sim, plan, keys))[0] == expected
 
 
 class TestCostModel:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lambada_lab import errors, lcf
 from lambada_lab.config import SimConfig
+from lambada_lab.scan import PredicateSet, execute_scan
 from lambada_lab.substrate import CloudSim
 
 
@@ -41,10 +42,6 @@ class TestGolden:
         (footer_len,) = struct.unpack("<I", data[-8:-4])
         assert footer_len == len(data) - 16 - 8  # body is 16 bytes
 
-    def test_rle_chunk_bytes(self):
-        encoded = lcf.encode_chunk([7, 7, 7, 9], lcf.INT64, lcf.ENC_RLE)
-        assert encoded == struct.pack("<qI", 7, 3) + struct.pack("<qI", 9, 1)
-
 
 class TestRoundTrip:
     def test_two_columns_two_groups(self):
@@ -61,37 +58,23 @@ class TestRoundTrip:
         assert footer.row_groups[0].chunks[0].stats == lcf.ColumnStats(-2, 9)
         assert footer.row_groups[0].chunks[1].stats == lcf.ColumnStats(0.5, 0.5)
 
-    def test_rle_round_trip(self):
-        values = [3] * 1000 + [4] * 500
-        data = lcf.write_file(lcf.Schema((("x", lcf.INT64),)), [[values]], rle_columns=("x",))
-        footer = lcf.read_footer(data)
-        chunk = footer.row_groups[0].chunks[0]
-        assert chunk.encoding == lcf.ENC_RLE
-        assert chunk.compressed_len == 24  # two runs
-        assert chunk.uncompressed_len == 8 * 1500
-        assert lcf.read_table(data) == [values]
-
     @settings(max_examples=50, deadline=None)
     @given(
         st.lists(
-            st.tuples(
-                st.lists(
-                    st.integers(min_value=-(2**63), max_value=2**63 - 1),
-                    min_size=1,
-                    max_size=40,
-                ),
-                st.booleans(),
+            st.lists(
+                st.integers(min_value=-(2**63), max_value=2**63 - 1),
+                min_size=1,
+                max_size=40,
             ),
             min_size=1,
             max_size=4,
         )
     )
-    def test_round_trip_property(self, groups_and_flags):
+    def test_round_trip_property(self, group_values):
         schema = lcf.Schema((("v", lcf.INT64),))
-        rle = any(flag for _, flag in groups_and_flags)
-        groups = [[values] for values, _ in groups_and_flags]
-        data = lcf.write_file(schema, groups, rle_columns=("v",) if rle else ())
-        assert lcf.read_table(data) == [sum((g[0] for g in groups), [])]
+        groups = [[values] for values in group_values]
+        data = lcf.write_file(schema, groups)
+        assert lcf.read_table(data) == [sum(group_values, [])]
 
 
 class TestPlainCodec:
@@ -99,7 +82,7 @@ class TestPlainCodec:
 
     def _check(self, values, typ):
         fmt = "<q" if typ == lcf.INT64 else "<d"
-        encoded = lcf.encode_chunk(values, typ, lcf.ENC_PLAIN)
+        encoded = lcf.encode_chunk(values, typ)
         assert encoded == b"".join(struct.pack(fmt, v) for v in values)
         meta = lcf.ColumnChunkMeta(0, len(encoded), len(encoded), lcf.ENC_PLAIN,
                                    lcf.ColumnStats(0, 0))
@@ -182,17 +165,15 @@ class TestValidation:
             lcf.write_file(SCHEMA_XY, [table])
 
     @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70])
-    @pytest.mark.parametrize("rle", [False, True])
-    def test_int64_out_of_range_names_the_column(self, value, rle):
+    def test_int64_out_of_range_names_the_column(self, value):
         schema = lcf.Schema((("a", lcf.INT64),))
         with pytest.raises(errors.TypeMismatch, match=f"column 'a': {value} is outside"):
-            lcf.write_file(schema, [[[0, value]]], rle_columns=("a",) if rle else ())
+            lcf.write_file(schema, [[[0, value]]])
 
-    @pytest.mark.parametrize("rle", [False, True])
-    def test_int64_range_ends_round_trip(self, rle):
+    def test_int64_range_ends_round_trip(self):
         schema = lcf.Schema((("a", lcf.INT64),))
         values = [-(2**63), 2**63 - 1, -(2**63)]
-        data = lcf.write_file(schema, [[values]], rle_columns=("a",) if rle else ())
+        data = lcf.write_file(schema, [[values]])
         assert lcf.read_table(data) == [values]
 
     @pytest.mark.parametrize(
@@ -216,28 +197,45 @@ class TestValidation:
             SCHEMA_XY.index_of("z")
 
 
-class TestRleBounds:
-    def _rle(self, runs):
-        data = b"".join(struct.pack("<qI", value, count) for value, count in runs)
-        meta = lcf.ColumnChunkMeta(0, len(data), 0, lcf.ENC_RLE, lcf.ColumnStats(0, 0))
-        return meta, data
+def file_with_encoding(encoding: int) -> bytes:
+    """The golden file, its one chunk's footer encoding byte set to `encoding`."""
+    data = bytearray(golden_single_column_bytes())
+    # body 16 bytes, then version, column count, the column and group count,
+    # the row count, and the chunk's offset and two lengths
+    at = 16 + 2 + 2 + (2 + 1 + 1) + 4 + 8 + 24
+    assert data[at] == lcf.ENC_PLAIN
+    data[at] = encoding
+    return bytes(data)
 
-    def test_run_one_row_past_row_count(self):
-        meta, data = self._rle([(7, 3), (9, 2)])
-        assert lcf.decode_chunk(meta, data, lcf.INT64, 5) == [7, 7, 7, 9, 9]
-        with pytest.raises(errors.CorruptChunk, match="more than 4 rows"):
-            lcf.decode_chunk(meta, data, lcf.INT64, 4)
 
-    def test_largest_run_count_is_rejected_before_it_is_expanded(self):
-        # expanding the run first would ask for 2**32 list slots (32 GiB)
-        meta, data = self._rle([(1, 2), (5, 0xFFFFFFFF)])
-        with pytest.raises(errors.CorruptChunk, match="more than 3 rows"):
-            lcf.decode_chunk(meta, data, lcf.INT64, 3)
+class TestUnknownEncoding:
+    """Plain is the only encoding; any other id in the footer is corruption,
+    wherever the chunk is decoded."""
 
-    def test_short_runs_are_rejected(self):
-        meta, data = self._rle([(7, 3)])
-        with pytest.raises(errors.CorruptChunk, match="decoded to 3 rows, expected 4"):
-            lcf.decode_chunk(meta, data, lcf.INT64, 4)
+    @pytest.mark.parametrize("encoding", [1, 255])
+    def test_decode_chunk_rejects_it(self, encoding):
+        meta = lcf.ColumnChunkMeta(0, 16, 16, encoding, lcf.ColumnStats(1, 2))
+        with pytest.raises(errors.CorruptChunk, match=f"unknown encoding id {encoding}"):
+            lcf.decode_chunk(meta, struct.pack("<qq", 1, 2), lcf.INT64, 2)
+
+    @pytest.mark.parametrize("encoding", [1, 255])
+    def test_read_table_rejects_it(self, encoding):
+        data = file_with_encoding(encoding)
+        assert lcf.read_footer(data).row_groups[0].chunks[0].encoding == encoding
+        with pytest.raises(errors.CorruptChunk, match=f"unknown encoding id {encoding}"):
+            lcf.read_table(data)
+
+    @pytest.mark.parametrize("encoding", [1, 255])
+    def test_scan_rejects_it(self, encoding):
+        sim = CloudSim(SimConfig())
+        sim.store.seed_object("data", "part.lcf", file_with_encoding(encoding))
+        predicates = PredicateSet((), ("x",))
+
+        def main():
+            return (yield from execute_scan(sim, sim.driver(), "data", ["part.lcf"], predicates))
+
+        with pytest.raises(errors.CorruptChunk, match=f"unknown encoding id {encoding}"):
+            sim.loop.run_task(main())
 
 
 def naive_decode_footer(raw: bytes) -> lcf.FileFooter:

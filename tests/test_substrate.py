@@ -12,6 +12,7 @@ from lambada_lab.substrate import (
     RECEIVE_MAX_MESSAGES,
     CloudSim,
     FunctionSpec,
+    MessageQueue,
     Nic,
     NicShaping,
     ZeroBlob,
@@ -365,7 +366,7 @@ class TestListIndex:
     @given(
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["put", "seed", "overwrite"]),
+                st.sampled_from(["put", "seed", "overwrite", "delete"]),
                 store_keys,
                 st.integers(min_value=0, max_value=50),
             ),
@@ -389,9 +390,12 @@ class TestListIndex:
 
         def main():
             for op, key, n in ops:
-                if op == "overwrite" and objects:
+                if op in ("overwrite", "delete") and objects:
                     key = sorted(objects)[n % len(objects)]
-                if op == "seed":
+                if op == "delete":
+                    if key in objects:
+                        store.bucket("b").delete(key)
+                elif op == "seed":
                     store.seed_object("b", key, b"x" * n)
                 else:
                     yield from store.put_object(ctx, "b", key, b"x" * n)
@@ -551,7 +555,7 @@ class TestQueue:
     def test_send_then_poll_roundtrip(self):
         sim = make_sim()
         ctx = sim.driver()
-        q = sim.queue("results")
+        q = MessageQueue(sim)
 
         def main():
             yield from q.send(ctx, b"payload")
@@ -563,7 +567,7 @@ class TestQueue:
 
     def test_fifo_delivery_across_many_senders(self):
         sim = make_sim()
-        q = sim.queue("results")
+        q = MessageQueue(sim)
         sent = []
 
         def sender(i):
@@ -589,7 +593,7 @@ class TestQueue:
         # the receive waits on an empty queue; 12 messages land at once and
         # the one that wakes it fills the batch along with 9 of the rest
         sim = make_sim()
-        q = sim.queue("results")
+        q = MessageQueue(sim)
 
         def sender(i):
             yield from q.send(sim.driver(f"w{i}"), i)
@@ -609,7 +613,7 @@ class TestQueue:
     @pytest.mark.parametrize("queued", [1, 10, 25, 30])
     def test_draining_a_full_queue_takes_one_latency_per_batch(self, queued):
         sim = make_sim()
-        q = sim.queue("results")
+        q = MessageQueue(sim)
         ctx = sim.driver()
 
         def main():
