@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import chain, repeat
+from operator import itemgetter
 
 from . import lcf
 
@@ -63,6 +64,10 @@ _DRAWS = (
 )
 
 
+# draws per getrandbits call on the byte path: 256 KiB of words at most
+_BYTE_BATCH = 1 << 16
+
+
 def _draw(getrandbits, count: int, size: int, offset: int = 0) -> list[int]:
     """`count` calls of `randrange(offset, offset + size)` on the Random owning `getrandbits`.
 
@@ -71,9 +76,30 @@ def _draw(getrandbits, count: int, size: int, offset: int = 0) -> list[int]:
     count at once and keeping the results below `size` consumes the same
     draws in the same order, so both the values and the stream's position
     afterwards equal `random`'s.
+
+    When k = `size.bit_length()` <= 8 and every value fits in a byte, draws
+    come in batches of 32-bit words.  `getrandbits(k)` for k <= 32 is the top
+    k bits of one word, and `getrandbits(32 * m)` packs m successive words,
+    the first one least significant.  So byte 4i + 3 of its little-endian
+    bytes is the top byte of draw i, and one `bytes.translate` shifts it,
+    drops the rejected draws and adds the offset.  A batch asks for at most
+    the draws still needed, so the stream stops where the loop would.
     """
+    if size < 1:
+        raise ValueError(f"empty range for randrange({offset}, {offset + size})")
     k = size.bit_length()
     out: list[int] = []
+    if k <= 8 and 0 <= offset and offset + size <= 256:
+        shift = 8 - k
+        # translate deletes the rejected bytes first, so their masked
+        # entries are never read
+        table = bytes(((b >> shift) + offset) & 0xFF for b in range(256))
+        rejected = bytes(b for b in range(256) if b >> shift >= size)
+        while len(out) < count:
+            m = min(count - len(out), _BYTE_BATCH)
+            words = getrandbits(32 * m).to_bytes(4 * m, "little")
+            out += words[3::4].translate(table, rejected)
+        return out
     while len(out) < count:
         out += [r + offset for r in map(getrandbits, repeat(k, count - len(out))) if r < size]
     return out
@@ -91,7 +117,12 @@ def _date_order(ship: list[int]) -> list[int]:
 
 
 def generate_tables(spec: GenSpec, seed: int) -> list[list[list[int]]]:
-    """Column-major tables, one per (pre-replication) file, globally sorted."""
+    """Column-major tables, one per (pre-replication) file, globally sorted.
+
+    Each file gathers its rows of a column with one `itemgetter` built from
+    its slice of the ship-date order, so no reordered copy of a whole column
+    is made.  Each drawn column is dropped once every file has its rows.
+    """
     cached = _TABLE_CACHE.get((spec, seed))
     if cached is not None:
         return cached
@@ -100,20 +131,19 @@ def generate_tables(spec: GenSpec, seed: int) -> list[list[list[int]]]:
     columns = [_draw(getrandbits, n, size, offset) for size, offset in _DRAWS]
     order = _date_order(columns[0])
     base, extra = divmod(n, spec.files)
-    bounds = []
+    picks = []
     pos = 0
     for i in range(spec.files):
         take = base + (1 if i < extra else 0)
-        bounds.append((pos, pos + take))
+        picks.append((itemgetter(*order[pos : pos + take]), take))
         pos += take
-    tables: list[list[list[int]]] = [[] for _ in bounds]
+    del order
+    tables: list[list[list[int]]] = [[] for _ in picks]
     for c in range(len(columns)):
-        # drop each column once it is reordered: one reordered column at a
-        # time keeps the set-up's peak memory below a full second copy
-        values = [columns[c][i] for i in order]
-        columns[c] = []
-        for table, (start, stop) in zip(tables, bounds):
-            table.append(values[start:stop])
+        values, columns[c] = columns[c], []
+        for table, (pick, take) in zip(tables, picks):
+            # itemgetter of one index returns the value, not a 1-tuple
+            table.append(list(pick(values)) if take > 1 else [pick(values)])
     _TABLE_CACHE[(spec, seed)] = tables
     return tables
 

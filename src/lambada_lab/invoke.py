@@ -115,7 +115,8 @@ def run_plan(
     own invocations (default: nothing).  `payload_extra(wid)` supplies the
     JSON-serializable `data` shipped inside worker `wid`'s call payload;
     first-generation payloads carry their children's data too.  A direct
-    plan is one whose workers have no children.
+    plan is one whose workers have no children.  Every time in the report
+    counts from the plan's start, so a plan on a reused sim reads the same.
     """
     spec = spec or FunctionSpec()
     fragment = fragment or _noop_fragment
@@ -141,6 +142,7 @@ def run_plan(
 
     def main():
         ctx = sim.driver()
+        start = sim.loop.now
         for wid in plan.first_gen:
             children = [[cid, extra(cid)] for cid in plan.assignment.get(wid, ())]
             handle = yield from invoke_worker(ctx, wid, extra(wid), children)
@@ -149,7 +151,9 @@ def run_plan(
         # every child is invoked by now; wait until each one has started
         yield AllOf([handle.started for *_, handle in handles])
         rows = [
-            WorkerTiming(wid, gen, parent, handle.initiated_at_us, handle.started_at_us)
+            WorkerTiming(
+                wid, gen, parent, handle.initiated_at_us - start, handle.started_at_us - start
+            )
             for wid, gen, parent, handle in handles
         ]
         return InvocationReport(

@@ -132,7 +132,25 @@ def test_tables_equal_the_naive_generator(seed, rows, files, rows_per_group):
     assert datagen.generate_tables(spec, seed) == naive_generate_tables(spec, seed)
 
 
-EDGE_SIZES = ((1, 0), (2, 0), (2**10, 0), (2**10 + 1, 3), (2**32, 0), (2**32 + 1, -7))
+EDGE_SIZES = (
+    (1, 0),
+    (2, 0),
+    # k = 8 fills the byte; 256 and 257 take 9 bits and leave the byte path
+    (255, 0),
+    (255, 1),
+    (128, 128),
+    (256, 0),
+    (257, 0),
+    # small k whose values leave the byte range take the per-value loop
+    (9, 247),
+    (9, 248),
+    (50, 250),
+    (3, -2),
+    (2**10, 0),
+    (2**10 + 1, 3),
+    (2**32, 0),
+    (2**32 + 1, -7),
+)
 
 
 @pytest.mark.parametrize("size, offset", datagen._DRAWS + EDGE_SIZES)
@@ -145,12 +163,37 @@ def test_draw_equals_randrange(seed, size, offset):
 
 
 def test_columns_drawn_back_to_back_stay_aligned():
+    # every column in generate_tables' order, four small ones in a row last
     ours, theirs = random.Random(22), random.Random(22)
-    first = datagen._draw(ours.getrandbits, 5000, datagen.SHIPDATE_DAYS)
-    second = datagen._draw(ours.getrandbits, 5000, 50, 1)
-    assert first == [theirs.randrange(datagen.SHIPDATE_DAYS) for _ in range(5000)]
-    assert second == [theirs.randint(1, 50) for _ in range(5000)]
+    for size, offset in datagen._DRAWS:
+        got = datagen._draw(ours.getrandbits, 5000, size, offset)
+        assert got == [theirs.randrange(offset, offset + size) for _ in range(5000)]
+        assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("size, offset", [(2, 0), (50, 1)])
+def test_draw_spanning_batches_equals_randrange(size, offset):
+    # size 2 rejects about half its draws, so its batches shrink
+    ours, theirs = random.Random(5), random.Random(5)
+    calls = []
+
+    def getrandbits(k):
+        calls.append(k)
+        return ours.getrandbits(k)
+
+    count = 3 * datagen._BYTE_BATCH // 2
+    got = datagen._draw(getrandbits, count, size, offset)
+    assert got == [theirs.randrange(offset, offset + size) for _ in range(count)]
     assert ours.getstate() == theirs.getstate()
+    assert calls[0] == 32 * datagen._BYTE_BATCH and len(calls) > 2
+
+
+@pytest.mark.parametrize("size", [0, -1])
+def test_empty_range_raises_like_randrange(size):
+    with pytest.raises(ValueError):
+        random.Random(1).randrange(0, size)
+    with pytest.raises(ValueError, match="empty range"):
+        datagen._draw(random.Random(1).getrandbits, 10, size)
 
 
 # SHA-256 over the seed, key and bytes of every file of seeds 7 and 8, taken

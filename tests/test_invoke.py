@@ -108,6 +108,18 @@ class TestRunPlan:
 
         assert once() == once()
 
+    def test_times_count_from_the_plans_start(self):
+        sim = CloudSim(SimConfig())
+        plan = invoke.build_plan(25, invoke.TWO_LEVEL)
+        first = run(sim, plan)
+        assert sim.loop.now > 0
+        second = run(sim, plan)
+        assert second.to_csv() == first.to_csv()
+        assert (second.makespan_us, second.last_initiated_us) == (
+            first.makespan_us,
+            first.last_initiated_us,
+        )
+
 
 class TestWorkerCrash:
     @staticmethod
