@@ -51,22 +51,32 @@ class PriceSheet:
 
 @dataclass
 class BillingLedger:
-    """Per-category usage counters; totals are derived, never accumulated."""
+    """Per-category usage counters; totals are derived, never accumulated.
+
+    Every charge to a ledger with a `parent` is charged to the parent too.
+    """
 
     prices: PriceSheet
+    parent: "BillingLedger | None" = field(default=None, repr=False, compare=False)
     request_counts: dict = field(default_factory=dict)  # (category, bucket) -> int
     worker_us: dict = field(default_factory=dict)  # memory_mib -> total virtual us
     throttle_events: int = 0
 
-    def charge_request(self, category: str, bucket: str, n: int = 1) -> None:
+    def charge_request(self, category: str, bucket: str) -> None:
         key = (category, bucket)
-        self.request_counts[key] = self.request_counts.get(key, 0) + n
+        self.request_counts[key] = self.request_counts.get(key, 0) + 1
+        if self.parent is not None:
+            self.parent.charge_request(category, bucket)
 
     def charge_worker(self, memory_mib: int, duration_us: int) -> None:
         self.worker_us[memory_mib] = self.worker_us.get(memory_mib, 0) + duration_us
+        if self.parent is not None:
+            self.parent.charge_worker(memory_mib, duration_us)
 
     def record_throttle(self) -> None:
         self.throttle_events += 1
+        if self.parent is not None:
+            self.parent.record_throttle()
 
     def count(self, category: str, bucket: str | None = None) -> int:
         if bucket is not None:
@@ -90,26 +100,6 @@ class BillingLedger:
     @property
     def total_usd(self) -> Fraction:
         return self.request_usd + self.worker_usd
-
-    def snapshot(self) -> "BillingLedger":
-        snap = BillingLedger(self.prices)
-        snap.request_counts = dict(self.request_counts)
-        snap.worker_us = dict(self.worker_us)
-        snap.throttle_events = self.throttle_events
-        return snap
-
-    def delta_since(self, snap: "BillingLedger") -> "BillingLedger":
-        delta = BillingLedger(self.prices)
-        for key, n in self.request_counts.items():
-            d = n - snap.request_counts.get(key, 0)
-            if d:
-                delta.request_counts[key] = d
-        for mem, us in self.worker_us.items():
-            d = us - snap.worker_us.get(mem, 0)
-            if d:
-                delta.worker_us[mem] = d
-        delta.throttle_events = self.throttle_events - snap.throttle_events
-        return delta
 
     def to_csv(self) -> str:
         """Export as `category,bucket,count,unit_price,usd` rows."""

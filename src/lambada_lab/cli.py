@@ -135,7 +135,7 @@ def bench_invoke(cfg: SimConfig, args, outdir: Path) -> list[str]:
     for strategy in (invoke.DIRECT, invoke.TWO_LEVEL):
         sim = CloudSim(cfg)
         report = sim.loop.run_task(
-            invoke.run_plan(sim, invoke.build_plan(args.P, strategy))
+            invoke.run_plan(sim.driver(), invoke.build_plan(args.P, strategy))
         )
         _write(outdir, f"invoke-{strategy}.csv", report.to_csv().splitlines())
         notes.append(

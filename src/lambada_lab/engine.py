@@ -4,7 +4,8 @@ Plans are small JSON-serializable operator lists split into a serverless
 scope (scan, filter, map, partial aggregation) and a driver scope (final
 aggregation, collect).  The driver invokes workers, each worker scans its
 file share and posts a partial result to the result queue; the driver merges
-partials into the final answer and reconciles costs with the ledger.
+partials into the final answer.  The driver and its workers bill the query's
+own ledger, which forwards every charge to the simulation's.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import errors, invoke
-from .billing import format_usd
+from .billing import BillingLedger, format_usd
 from .config import MIB
 from .scan import PredicateSet, execute_scan
-from .substrate import FunctionSpec, MessageQueue
+from .substrate import FunctionSpec, HostContext, MessageQueue
 
 QUEUE_PAYLOAD_CAP = 256 * 1024
 SPILL_BUCKET = "query-results"
@@ -188,14 +189,14 @@ def _plan_op(plan, name):
 # ------------------------------------------------------------------- fragment
 
 def run_fragment(sim, ctx, bucket, paths, plan):
-    """Execute the serverless scope over one worker's files."""
+    """Execute the serverless scope over one worker's files; returns its partial."""
     scan_op = _plan_op(plan, "scan")
     agg_op = _plan_op(plan, "partial_agg")
     predicates = PredicateSet(
         tuple((n, lo, hi) for n, lo, hi in scan_op["intervals"]),
         tuple(scan_op["projection"]),
     )
-    batches, report = yield from execute_scan(sim, ctx, bucket, paths, predicates)
+    batches, _report = yield from execute_scan(sim, ctx, bucket, paths, predicates)
     held_bytes = sum(8 * len(col) for batch in batches for col in batch)
     budget = int(MEMORY_HEADROOM * ctx.spec.memory_mib * MIB)
     if held_bytes > budget:
@@ -208,7 +209,7 @@ def run_fragment(sim, ctx, bucket, paths, plan):
     groups: dict[tuple, list] = {}
     for batch in batches:
         _fold_batch(groups, batch, key_cols, steps, outputs)
-    return [[list(k), v] for k, v in groups.items()], report
+    return [[list(k), v] for k, v in groups.items()]
 
 
 def _fold_batch(groups: dict, batch, key_cols: list[int], steps, outputs: list) -> None:
@@ -269,7 +270,8 @@ def merge_partials(partials):
 
 @dataclass
 class QueryReport:
-    """One query's virtual times and its own share of the bill.
+    """One query's virtual times and its bill: the charges of its driver
+    and workers alone, so queries that share a sim each read their own.
 
     `latency_us` runs from the driver's start to the last partial received.
     The driver receives results while it still invokes workers, so
@@ -322,7 +324,7 @@ def execute(
 
     def fragment(ctx, wid, data):
         try:
-            partial, _report = yield from run_fragment(sim, ctx, bucket, data["paths"], plan)
+            partial = yield from run_fragment(sim, ctx, bucket, data["paths"], plan)
             body = json.dumps({"worker": wid, "status": "ok", "partial": partial})
             if len(body) > QUEUE_PAYLOAD_CAP:
                 key = f"{query}/w{wid}"
@@ -365,11 +367,12 @@ def execute(
         return partials
 
     def main():
-        start, before = sim.loop.now, sim.ledger.snapshot()
+        driver = HostContext(sim, "driver", ledger=BillingLedger(sim.prices, parent=sim.ledger))
+        start = sim.loop.now
         # the driver receives while its workers are still being invoked
-        collector = sim.loop.spawn(collect(sim.driver()), name="collect")
+        collector = sim.loop.spawn(collect(driver), name="collect")
         inv_report = yield from invoke.run_plan(
-            sim,
+            driver,
             inv_plan,
             spec,
             fragment,
@@ -379,7 +382,7 @@ def execute(
         partials = yield collector
         rows = merge_partials(partials)
         end = sim.loop.now
-        bill = sim.ledger.delta_since(before)
+        bill = driver.ledger
         report = QueryReport(
             workers=W,
             latency_us=end - start,

@@ -35,10 +35,6 @@ def ceil_root(P: int, k: int) -> int:
     return s
 
 
-def digit(x: int, level: int, s: int) -> int:
-    return x // s**level % s
-
-
 def route(p: int, level: int, c: int, s: int, P: int) -> int | None:
     """Worker that holds digit `c` at `level` for records currently at `p`.
 

@@ -103,13 +103,14 @@ def _noop_fragment(ctx, wid, data):
 
 
 def run_plan(
-    sim,
+    ctx,
     plan: InvocationPlan,
     spec: FunctionSpec | None = None,
     fragment=None,
     payload_extra=None,
 ):
-    """Execute an invocation plan; returns a task for sim.loop.run_task.
+    """Execute an invocation plan from the driver `ctx`; returns a task for
+    sim.loop.run_task.  Every worker bills the driver's ledger.
 
     `fragment(ctx, wid, data)` runs in every worker after it has finished its
     own invocations (default: nothing).  `payload_extra(wid)` supplies the
@@ -118,6 +119,7 @@ def run_plan(
     plan is one whose workers have no children.  Every time in the report
     counts from the plan's start, so a plan on a reused sim reads the same.
     """
+    sim = ctx.sim
     spec = spec or FunctionSpec()
     fragment = fragment or _noop_fragment
     # (worker, generation, parent, handle), in invocation order
@@ -141,7 +143,6 @@ def run_plan(
         yield from fragment(ctx, wid, info["data"])
 
     def main():
-        ctx = sim.driver()
         start = sim.loop.now
         for wid in plan.first_gen:
             children = [[cid, extra(cid)] for cid in plan.assignment.get(wid, ())]

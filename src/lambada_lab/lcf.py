@@ -268,10 +268,10 @@ def read_footer_ranged(sim, ctx, bucket: str, key: str):
     """Read a footer through the object store using the tail window.
 
     Issues exactly one suffix-range GET for footers smaller than the window
-    and one extra GET otherwise.  Returns (footer, requests, tail,
-    tail_start): the window's bytes and their offset in the file, so that
-    column chunks inside the window can be read from the same snapshot as
-    the footer without another GET.
+    and one extra GET otherwise.  Returns (footer, tail, tail_start): the
+    window's bytes and their offset in the file, so that column chunks
+    inside the window can be read from the same snapshot as the footer
+    without another GET.
     """
     tail = yield from sim.store.get_object(
         ctx, bucket, key, (-FOOTER_TAIL_WINDOW, None)
@@ -279,7 +279,6 @@ def read_footer_ranged(sim, ctx, bucket: str, key: str):
     tail = bytes(tail)
     size = len(sim.store.bucket(bucket).objects[key])
     footer_off, footer_len = split_trailer(tail, size)
-    requests = 1
     tail_start = size - len(tail)
     if footer_off >= tail_start:
         raw = tail[footer_off - tail_start : footer_off - tail_start + footer_len]
@@ -288,8 +287,7 @@ def read_footer_ranged(sim, ctx, bucket: str, key: str):
             ctx, bucket, key, (footer_off, footer_off + footer_len)
         )
         raw = bytes(raw)
-        requests += 1
-    return decode_footer(raw, footer_off), requests, tail, tail_start
+    return decode_footer(raw, footer_off), tail, tail_start
 
 
 def read_table(data: bytes) -> list[list]:

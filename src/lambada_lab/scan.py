@@ -121,11 +121,10 @@ def plan_downloads(
 
 @dataclass
 class ScanReport:
-    """One scan's figures.  `requests` counts footer and chunk GETs and
-    `bytes` the bytes the chunk GETs bought: a range read from the footer's
-    tail adds to neither."""
+    """One scan's figures.  `bytes` counts the bytes the chunk GETs bought:
+    a range read from the footer's tail adds nothing.  The host's ledger
+    counts the scan's GETs."""
 
-    requests: int = 0
     bytes: int = 0
     rows: int = 0
     groups_read: int = 0
@@ -186,8 +185,7 @@ def execute_scan(
     batches = []
     for path in paths:
         # popped, so the finished task does not keep the tail alive
-        footer, footer_requests, tail, tail_start = yield footer_tasks.pop(path)
-        report.requests += footer_requests
+        footer, tail, tail_start = yield footer_tasks.pop(path)
         surviving = prune_row_groups(footer, predicates) if prune else list(
             range(len(footer.row_groups))
         )
@@ -232,7 +230,6 @@ def execute_scan(
             for name, part in parts:
                 if not isinstance(part, bytes):
                     part = yield part
-                    report.requests += 1
                     report.bytes += len(part)
                 col_bytes.setdefault(name, []).append(part)
             launch()

@@ -138,7 +138,8 @@ class Nic:
 
 
 class HostContext:
-    """A network endpoint in the simulation: the driver or one worker."""
+    """A network endpoint in the simulation: the driver or one worker.  It
+    bills `ledger`, the simulation's unless it is given another."""
 
     def __init__(
         self,
@@ -147,10 +148,12 @@ class HostContext:
         spec: FunctionSpec | None = None,
         invoke_rate_per_s: Fraction | None = None,
         perf_factor: Fraction = Fraction(1),
+        ledger: BillingLedger | None = None,
     ):
         self.sim = sim
         self.name = name
         self.spec = spec
+        self.ledger = ledger if ledger is not None else sim.ledger
         cfg = sim.cfg
         self.ingress = Nic(sim.nic_shaping)
         self.egress = Nic(sim.nic_shaping)
@@ -243,30 +246,30 @@ class ObjectStore:
         if size > self.sim.cfg.max_key_bytes:
             raise errors.KeyTooLong(f"key is {size} bytes, limit is {self.sim.cfg.max_key_bytes}")
 
-    def _request(self, b: Bucket, category: str) -> Generator:
+    def _request(self, ctx: HostContext, b: Bucket, category: str) -> Generator:
         """Admit and bill one request: the path every store call takes.
 
         Admission retries against the bucket's rate limiter after each
-        throttle; the request is billed once admitted.  It does not wait for
-        its first byte: the caller sleeps once from the admission, to the end
-        of its transfer (GET, PUT) or to its first byte (LIST).  Reserving a
-        NIC at admission, for a transfer that starts at the first byte,
-        keeps the order of its reservations: a NIC carries one host's
-        transfers, and they share one first-byte latency.
+        throttle; the request is billed to the host's ledger once admitted.
+        It does not wait for its first byte: the caller sleeps once from the
+        admission, to the end of its transfer (GET, PUT) or to its first
+        byte (LIST).  Reserving a NIC at admission, for a transfer that
+        starts at the first byte, keeps the order of its reservations: a NIC
+        carries one host's transfers, and they share one first-byte latency.
         """
         sim = self.sim
         cfg = sim.cfg
         limiter = b.write_limiter if category == WRITE else b.read_limiter
         retries = 0
         while not limiter.try_admit(sim.loop.now):
-            sim.ledger.record_throttle()
+            ctx.ledger.record_throttle()
             if retries >= cfg.throttle_max_retries:
                 raise errors.Throttled(
                     f"request still throttled after {cfg.throttle_max_retries} retries"
                 )
             retries += 1
             yield Sleep(cfg.throttle_retry_delay_ms * US_PER_MS)
-        sim.ledger.charge_request(category, b.name)
+        ctx.ledger.charge_request(category, b.name)
 
     def put_object(self, ctx: HostContext, bucket: str, key: str, data) -> Generator:
         """Write an object. Overwrites atomically once the upload finishes.
@@ -276,7 +279,7 @@ class ObjectStore:
         """
         b = self.bucket(bucket)
         self._check_key(key)
-        yield from self._request(b, WRITE)
+        yield from self._request(ctx, b, WRITE)
         now = self.sim.loop.now
         yield Sleep(ctx.egress.reserve(len(data), now + ctx.first_byte_latency_us) - now)
         b.write(key, data)
@@ -301,7 +304,7 @@ class ObjectStore:
         them.
         """
         b = self.bucket(bucket)
-        yield from self._request(b, READ)
+        yield from self._request(ctx, b, READ)
         obj = b.objects.get(key)
         if obj is None:
             yield Sleep(ctx.first_byte_latency_us)
@@ -329,7 +332,7 @@ class ObjectStore:
         returns a new list.
         """
         b = self.bucket(bucket)
-        yield from self._request(b, LIST)
+        yield from self._request(ctx, b, LIST)
         yield Sleep(ctx.first_byte_latency_us)
         keys = b.keys
         lo = bisect_left(keys, prefix)
@@ -414,7 +417,8 @@ class FaaSService:
         """Issue one invocation from `ctx`; returns an InvocationHandle.
 
         The issuing task is paced at its context's aggregate invocation rate;
-        the per-call network latency is pipelined and does not block it.
+        the per-call network latency is pipelined and does not block it.  The
+        worker bills the invoker's ledger.
         """
         cfg = self.sim.cfg
         if len(payload) > cfg.max_payload_bytes:
@@ -436,6 +440,7 @@ class FaaSService:
             spec=spec,
             invoke_rate_per_s=cfg.worker_invoke_rate_per_s,
             perf_factor=perf,
+            ledger=ctx.ledger,
         )
 
         started = Future()
@@ -464,7 +469,7 @@ class FaaSService:
             return (yield from handler(ctx, payload))
         finally:
             self.running -= 1
-            self.sim.ledger.charge_worker(spec.memory_mib, self.sim.loop.now - start_us)
+            ctx.ledger.charge_worker(spec.memory_mib, self.sim.loop.now - start_us)
             if self._pending:
                 self._start(self._pending.popleft())
 

@@ -89,7 +89,7 @@ def test_c04_two_level_invocation_beats_direct():
     for strategy in (invoke.DIRECT, invoke.TWO_LEVEL):
         sim = fresh_sim()
         report = sim.loop.run_task(
-            invoke.run_plan(sim, invoke.build_plan(4096, strategy))
+            invoke.run_plan(sim.driver(), invoke.build_plan(4096, strategy))
         )
         results[strategy] = report.last_initiated_us / 1e6
     assert results[invoke.TWO_LEVEL] <= 3.0

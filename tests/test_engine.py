@@ -425,11 +425,21 @@ class TestConcurrentQueries:
         def main():
             return (yield AllOf([sim.loop.spawn(engine.execute(sim, p, keys)) for p in plans]))
 
-        for plan, (rows, _) in zip(plans, sim.loop.run_task(main())):
+        reports = []
+        for plan, (rows, report) in zip(plans, sim.loop.run_task(main())):
             assert rows == engine.reference_execute(tables, datagen.COLUMNS, plan)
+            reports.append(report)
         spilled = sim.ledger.count(WRITE, engine.SPILL_BUCKET)
         assert spilled == (2 * len(keys) if spill else 0)
         assert not sim.store.bucket(engine.SPILL_BUCKET).objects
+        # each query bills only its own driver and workers: the bill it
+        # reports on a fresh sim, and the two bills make up the sim's
+        for plan, report in zip(plans, reports):
+            fresh, fresh_keys, _ = setup_data(rows=1600, files=4)
+            _, solo = run_query(fresh, plan, fresh_keys)
+            bill = (report.request_usd, report.worker_usd, report.total_usd)
+            assert bill == (solo.request_usd, solo.worker_usd, solo.total_usd)
+        assert sum(r.total_usd for r in reports) == sim.ledger.total_usd
 
     def test_sequential_queries_leave_no_spill_objects(self, monkeypatch):
         # every partial spills; each query's driver removes its own spill

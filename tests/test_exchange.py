@@ -39,11 +39,6 @@ def run(sim, inputs, cfg):
 
 
 class TestRouting:
-    def test_digit_projection_is_bijective_on_grid(self):
-        s = 4
-        seen = {(exchange.digit(x, 0, s), exchange.digit(x, 1, s)) for x in range(16)}
-        assert len(seen) == 16
-
     def test_ceil_root(self):
         assert exchange.ceil_root(16, 2) == 4
         assert exchange.ceil_root(17, 2) == 5

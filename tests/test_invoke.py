@@ -12,7 +12,7 @@ from lambada_lab.substrate import CloudSim, FunctionSpec
 
 
 def run(sim, plan):
-    return sim.loop.run_task(invoke.run_plan(sim, plan))
+    return sim.loop.run_task(invoke.run_plan(sim.driver(), plan))
 
 
 class TestBuildPlan:
@@ -134,14 +134,14 @@ class TestWorkerCrash:
         sim = CloudSim(SimConfig())
         plan = invoke.build_plan(16, invoke.TWO_LEVEL)
         with pytest.raises(RuntimeError, match="w7") as info:
-            sim.loop.run_task(invoke.run_plan(sim, plan, fragment=self._crash_in_w7))
+            sim.loop.run_task(invoke.run_plan(sim.driver(), plan, fragment=self._crash_in_w7))
         assert isinstance(info.value.__cause__, KeyError)
 
     def test_crash_in_awaited_worker_reaches_the_driver(self):
         sim = CloudSim(SimConfig())
         plan = invoke.build_plan(16, invoke.DIRECT)
         with pytest.raises(KeyError):
-            sim.loop.run_task(invoke.run_plan(sim, plan, fragment=self._crash_in_w7))
+            sim.loop.run_task(invoke.run_plan(sim.driver(), plan, fragment=self._crash_in_w7))
 
 
 class TestConcurrencyLimitedStart:
@@ -159,7 +159,7 @@ class TestConcurrencyLimitedStart:
         sim = CloudSim(SimConfig(concurrency_limit=8))
         report = sim.loop.run_task(
             invoke.run_plan(
-                sim, invoke.build_plan(64, strategy), FunctionSpec(1024), self._fragment
+                sim.driver(), invoke.build_plan(64, strategy), FunctionSpec(1024), self._fragment
             )
         )
         assert sim.faas.peak_concurrency == 8

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambada_lab import errors, lcf, scan
-from lambada_lab.billing import READ
+from lambada_lab.billing import READ, BillingLedger
 from lambada_lab.clock import AllOf
 from lambada_lab.config import SimConfig
-from lambada_lab.substrate import CloudSim
+from lambada_lab.substrate import CloudSim, HostContext
 
 MIB = 1024 * 1024
 
@@ -154,7 +154,7 @@ class TestExecute:
         merged = [sum((b[i] for b in batches), []) for i in range(2)]
         assert merged == lcf.read_table(data)
         assert report.rows == 5
-        assert report.requests == 1 + 4  # footer + 2 groups x 2 columns
+        assert sim.ledger.count(READ) == 1 + 4  # footer + 2 groups x 2 columns
 
     def test_residual_row_filter(self):
         data = clear_of_tail(make_file([[[1, 5, 9], [10, 20, 30]]])[0])
@@ -164,7 +164,7 @@ class TestExecute:
         assert batches == [[[20]]]
         assert report.rows == 1
         # the stats [1, 9] leave [4, 6] open, so a is fetched to check rows
-        assert report.requests == 1 + 2
+        assert sim.ledger.count(READ) == 1 + 2
 
     def test_proven_filter_only_column_is_not_fetched(self):
         groups = [[[3, 4], [1, 2]], [[5, 3], [7, 8]]]
@@ -175,7 +175,7 @@ class TestExecute:
         batches, report = run_scan(sim, ["f.lcf"], preds)
         assert batches == [[[1, 2]], [[7, 8]]]
         # the footer and b's two chunks; a is never bought
-        assert report.requests == 1 + 2 == sim.ledger.count(READ)
+        assert sim.ledger.count(READ) == 1 + 2
         b = footer.schema.index_of("b")
         assert report.bytes == sum(rg.chunks[b].compressed_len for rg in footer.row_groups)
 
@@ -187,9 +187,9 @@ class TestExecute:
         data = clear_of_tail(make_file(groups)[0])
         sim = seeded_sim({"f.lcf": data})
         preds = scan.PredicateSet((("a", 0, 100), ("a", 4, 6)), ("b",))
-        batches, report = run_scan(sim, ["f.lcf"], preds)
+        batches, _ = run_scan(sim, ["f.lcf"], preds)
         assert batches == [[[20]], [[40, 50, 60]]]
-        assert report.requests == 1 + 2 + 1 == sim.ledger.count(READ)
+        assert sim.ledger.count(READ) == 1 + 2 + 1
 
     def test_proven_filter_column_still_counts_toward_split_budget(self):
         # three 128 KiB projected chunks plus a proven filter-only column fill
@@ -203,9 +203,9 @@ class TestExecute:
         sim = seeded_sim({"f.lcf": data})
         preds = scan.PredicateSet((("f", 0, rows),), ("c0", "c1", "c2"))
         with mock.patch.object(scan, "CHUNK_SIZE_BYTES", 64 * 1024):
-            batches, report = run_scan(sim, ["f.lcf"], preds)
+            batches, _ = run_scan(sim, ["f.lcf"], preds)
         assert batches == [[list(range(rows))] * 3]
-        assert report.requests == 1 + 3 == sim.ledger.count(READ)
+        assert sim.ledger.count(READ) == 1 + 3
 
     def test_float_stats_inside_interval_still_filter_nan(self):
         # min()/max() skip a NaN that is not first: the stats read [1.0, 2.0]
@@ -218,7 +218,7 @@ class TestExecute:
         assert batches == [[[10, 30]]]
         assert report.rows == 2
         # FLOAT64 stats prove nothing: the filter-only f is always fetched
-        assert report.requests == 1 + 2 == sim.ledger.count(READ)
+        assert sim.ledger.count(READ) == 1 + 2
 
     def test_int_stats_skip_only_groups_wholly_inside(self):
         groups = [
@@ -241,34 +241,30 @@ class TestExecute:
         preds = scan.PredicateSet((("a", 500, 600),), ("a",))
         batches, report = run_scan(sim, ["f.lcf"], preds)
         assert batches == []
-        assert report.requests == 1
+        assert sim.ledger.count(READ) == 1
         assert report.groups_pruned == 1
-
-    def test_request_cost_reconciles_with_ledger(self):
-        groups = [[[i, i + 1], [i, i]] for i in range(0, 12, 2)]
-        data, _ = make_file(groups)
-        sim = seeded_sim({"f.lcf": data})
-        before = sim.ledger.count(READ)
-        preds = scan.PredicateSet((("a", 0, 100),), ("a", "b"))
-        _, report = run_scan(sim, ["f.lcf"], preds)
-        assert sim.ledger.count(READ) - before == report.requests
 
     def test_concurrent_scans_bill_only_their_own_requests(self):
         data = clear_of_tail(make_file([[[1, 2], [3, 4]]])[0])
         sim = seeded_sim({"f.lcf": data, "g.lcf": data})
         preds = scan.PredicateSet((), ("a", "b"))
+        hosts = [
+            HostContext(sim, f"h{i}", ledger=BillingLedger(sim.prices, parent=sim.ledger))
+            for i in range(2)
+        ]
 
         def main():
             tasks = [
-                sim.loop.spawn(scan.execute_scan(sim, sim.driver(), "data", [path], preds))
-                for path in ("f.lcf", "g.lcf")
+                sim.loop.spawn(scan.execute_scan(sim, host, "data", [path], preds))
+                for host, path in zip(hosts, ("f.lcf", "g.lcf"))
             ]
             return (yield AllOf(tasks))
 
-        reports = [report for _, report in sim.loop.run_task(main())]
+        sim.loop.run_task(main())
         # one footer GET and two column-chunk GETs each, as when run alone
-        assert [r.requests for r in reports] == [3, 3]
-        assert sum(r.requests for r in reports) == sim.ledger.count(READ)
+        counts = [host.ledger.count(READ) for host in hosts]
+        assert counts == [3, 3]
+        assert sum(counts) == sim.ledger.count(READ)
 
     def test_thousand_chunk_request_cost(self):
         # 64 MiB single plain chunk of zeros scanned at the 64 KiB floor:
@@ -292,8 +288,8 @@ class TestExecute:
         sim = seeded_sim({"big.lcf": data})
         preds = scan.PredicateSet((), ("x",))
         with mock.patch.object(scan, "CHUNK_SIZE_BYTES", 64 * 1024):
-            _, report = run_scan(sim, ["big.lcf"], preds)
-        data_requests = report.requests - 1
+            run_scan(sim, ["big.lcf"], preds)
+        data_requests = sim.ledger.count(READ) - 1
         assert data_requests == 1024
         price = sim.prices.request_price("read")
         assert data_requests * price == Fraction("4.096e-4")
@@ -307,8 +303,8 @@ class TestExecute:
             sim = seeded_sim({"f.lcf": data})
             preds = scan.PredicateSet((), ("x",))
             with mock.patch.object(scan, "CHUNK_SIZE_BYTES", size):
-                _, report = run_scan(sim, ["f.lcf"], preds)
-            counts.append(report.requests)
+                run_scan(sim, ["f.lcf"], preds)
+            counts.append(sim.ledger.count(READ))
         assert counts == sorted(counts, reverse=True)
         assert counts[0] > counts[-1]
 
@@ -380,7 +376,7 @@ class TestTailReads:
         assert sorted(ranges[1:]) == [
             (c.offset, c.offset + c.compressed_len) for c in footer.row_groups[0].chunks
         ]
-        assert report.requests == 1 + 2 == sim.ledger.count(READ)
+        assert sim.ledger.count(READ) == 1 + 2
         assert report.bytes == 2 * 8 * big
         assert report.groups_read == 2
 
@@ -394,10 +390,10 @@ class TestTailReads:
         assert b.offset < tail_start < b.offset + b.compressed_len
         sim = seeded_sim({"f.lcf": data})
         ranges = record_ranges(sim)
-        batches, report = run_scan(sim, ["f.lcf"], scan.PredicateSet((), ("a", "b")))
+        batches, _ = run_scan(sim, ["f.lcf"], scan.PredicateSet((), ("a", "b")))
         assert batches == [[list(range(rows)), list(range(rows))]]
         assert ranges.count((b.offset, b.offset + b.compressed_len)) == 1
-        assert report.requests == 1 + 2 == sim.ledger.count(READ)
+        assert sim.ledger.count(READ) == 1 + 2
 
     def test_footer_larger_than_the_window_serves_nothing_from_it(self):
         # the footer fills the window, so every surviving chunk is fetched
@@ -409,7 +405,7 @@ class TestTailReads:
         preds = scan.PredicateSet((("x", 1990, 2100),), ("x",))
         batches, report = run_scan(sim, ["f.lcf"], preds)
         assert rows_of(batches) == [(x,) for x in range(1990, 2000)]
-        assert report.requests == 2 + 10 == sim.ledger.count(READ)
+        assert 2 + 10 == sim.ledger.count(READ)
         assert report.bytes == 10 * 8
 
     @settings(max_examples=30, deadline=None)
@@ -437,7 +433,7 @@ class TestTailReads:
             plan = scan.plan_downloads(footer, surviving, ("a", "b")) if surviving else []
             batches, report = run_scan(sim, ["f.lcf"], preds)
         bought = [length for reads in plan for _, start, length in reads if start < tail_start]
-        assert report.requests == 1 + len(bought) == sim.ledger.count(READ)
+        assert sim.ledger.count(READ) == 1 + len(bought)
         assert report.bytes == sum(bought)
         assert rows_of(batches) == filtered_rows(data, [(0, lo, lo + width)])
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lambada_lab import errors
-from lambada_lab.billing import READ, WRITE, LIST
+from lambada_lab.billing import READ, WRITE, LIST, BillingLedger
 from lambada_lab.clock import AllOf, Sleep, US_PER_S
 from lambada_lab.config import MIB, SimConfig
 from lambada_lab.substrate import (
@@ -654,6 +654,22 @@ class TestLedger:
         )
         assert sim.ledger.request_usd == expected
         assert sim.ledger.total_usd == expected
+
+    def test_child_ledger_charges_reach_its_parent_only(self):
+        parent = BillingLedger(make_sim().prices)
+        child = BillingLedger(parent.prices, parent=parent)
+        child.charge_request(READ, "b")
+        child.charge_worker(1024, 500)
+        child.record_throttle()
+        parent.charge_request(WRITE, "b")
+        parent.charge_worker(2048, 7)
+        parent.record_throttle()
+        assert child.request_counts == {(READ, "b"): 1}
+        assert child.worker_us == {1024: 500}
+        assert child.throttle_events == 1
+        assert parent.request_counts == {(READ, "b"): 1, (WRITE, "b"): 1}
+        assert parent.worker_us == {1024: 500, 2048: 7}
+        assert parent.throttle_events == 2
 
     def test_csv_export_shape(self):
         sim = make_sim()
