@@ -188,27 +188,49 @@ def _plan_op(plan, name):
 
 # ------------------------------------------------------------------- fragment
 
-def run_fragment(sim, ctx, bucket, paths, plan):
-    """Execute the serverless scope over one worker's files; returns its partial."""
+@dataclass(frozen=True)
+class FragmentProgram:
+    """A plan's serverless scope, compiled once per query for all its workers.
+
+    `key_cols` are the group keys' positions in the projection, `steps` and
+    `outputs` the aggregates' `compile_program`, and `budget` the bytes a
+    worker's batches may hold: `MEMORY_HEADROOM` of its memory.
+    """
+
+    predicates: PredicateSet
+    key_cols: list[int]
+    steps: list[tuple]
+    outputs: list
+    budget: int
+
+
+def fragment_program(plan, spec: FunctionSpec) -> FragmentProgram:
+    """Compile `plan`'s serverless scope for workers of `spec`; an invalid
+    plan raises here, before any worker runs."""
     scan_op = _plan_op(plan, "scan")
     agg_op = _plan_op(plan, "partial_agg")
-    predicates = PredicateSet(
-        tuple((n, lo, hi) for n, lo, hi in scan_op["intervals"]),
-        tuple(scan_op["projection"]),
-    )
-    batches, _report = yield from execute_scan(sim, ctx, bucket, paths, predicates)
-    held_bytes = sum(8 * len(col) for batch in batches for col in batch)
-    budget = int(MEMORY_HEADROOM * ctx.spec.memory_mib * MIB)
-    if held_bytes > budget:
-        raise errors.WorkerOutOfMemory(f"fragment holds {held_bytes} bytes, budget {budget}")
-    index = {name: j for j, name in enumerate(scan_op["projection"])}
-    key_cols = [index[k] for k in agg_op["keys"]]
+    projection = tuple(scan_op["projection"])
+    predicates = PredicateSet(tuple((n, lo, hi) for n, lo, hi in scan_op["intervals"]), projection)
+    index = {name: j for j, name in enumerate(projection)}
     steps, outputs = compile_program(
         [None if kind == "count" else expr for kind, expr in agg_op["aggs"]], index
     )
+    # int(MEMORY_HEADROOM * memory), in integer arithmetic
+    budget = MEMORY_HEADROOM.numerator * spec.memory_mib * MIB // MEMORY_HEADROOM.denominator
+    return FragmentProgram(predicates, [index[k] for k in agg_op["keys"]], steps, outputs, budget)
+
+
+def run_fragment(sim, ctx, bucket, paths, program: FragmentProgram):
+    """Execute the serverless scope over one worker's files; returns its partial."""
+    batches, _report = yield from execute_scan(sim, ctx, bucket, paths, program.predicates)
+    held_bytes = sum(8 * len(col) for batch in batches for col in batch)
+    if held_bytes > program.budget:
+        raise errors.WorkerOutOfMemory(
+            f"fragment holds {held_bytes} bytes, budget {program.budget}"
+        )
     groups: dict[tuple, list] = {}
     for batch in batches:
-        _fold_batch(groups, batch, key_cols, steps, outputs)
+        _fold_batch(groups, batch, program.key_cols, program.steps, program.outputs)
     return [[list(k), v] for k, v in groups.items()]
 
 
@@ -311,10 +333,15 @@ def execute(
     strategy: str = invoke.DIRECT,
     bucket: str = "data",
 ):
-    """Run a plan over `paths`; returns (rows, QueryReport) via run_task."""
+    """Run a plan over `paths`; returns (rows, QueryReport) via run_task.
+
+    The plan is compiled here, so an invalid one raises before any worker
+    is invoked or billed.
+    """
     spec = spec or FunctionSpec()
     if files_per_worker < 1:
         raise ValueError("files_per_worker must be >= 1")
+    program = fragment_program(plan, spec)
     W = math.ceil(len(paths) / files_per_worker)
     shares = [paths[w * files_per_worker : (w + 1) * files_per_worker] for w in range(W)]
     # the query's number on this sim scopes its spill keys
@@ -324,7 +351,7 @@ def execute(
 
     def fragment(ctx, wid, data):
         try:
-            partial = yield from run_fragment(sim, ctx, bucket, data["paths"], plan)
+            partial = yield from run_fragment(sim, ctx, bucket, data["paths"], program)
             body = json.dumps({"worker": wid, "status": "ok", "partial": partial})
             if len(body) > QUEUE_PAYLOAD_CAP:
                 key = f"{query}/w{wid}"

@@ -227,9 +227,13 @@ def decode_footer(raw: bytes, data_end: int | None = None) -> FileFooter:
         raise errors.CorruptFooter("footer truncated")
     if pos + size < len(raw):
         raise errors.CorruptFooter("trailing bytes after footer")
+    # the metadata tuples are made by tuple.__new__, which skips each
+    # named tuple's Python-level constructor: the footer's fields are
+    # already in field order
+    new = tuple.__new__
     groups = []
     prev_end = 0
-    for fields in entry.iter_unpack(raw[pos:]):
+    for fields in entry.iter_unpack(memoryview(raw)[pos:]):
         chunks = []
         it = iter(fields)
         row_count = next(it)
@@ -241,10 +245,9 @@ def decode_footer(raw: bytes, data_end: int | None = None) -> FileFooter:
             prev_end = offset + clen
             if data_end is not None and prev_end > data_end:
                 raise errors.CorruptFooter("column chunk runs into the footer")
-            chunks.append(
-                ColumnChunkMeta(offset, clen, ulen, encoding, ColumnStats(min_v, max_v))
-            )
-        groups.append(RowGroupMeta(row_count, tuple(chunks)))
+            stats = new(ColumnStats, (min_v, max_v))
+            chunks.append(new(ColumnChunkMeta, (offset, clen, ulen, encoding, stats)))
+        groups.append(new(RowGroupMeta, (row_count, tuple(chunks))))
     return FileFooter(schema, tuple(groups), version)
 
 

@@ -23,7 +23,8 @@ from .config import MIB, SimConfig
 VCPU_BASELINE_MIB = 1792
 MEMORY_MIB_MIN = 128
 MEMORY_MIB_MAX = 3008
-# A cold container runs its first invocation this much slower.
+# A cold container runs its first invocation this much slower than a warm one.
+WARM_PERF_FACTOR = Fraction(1)
 COLD_START_PENALTY_FACTOR = Fraction(6, 5)
 RECEIVE_MAX_MESSAGES = 10  # SQS ReceiveMessage's MaxNumberOfMessages cap
 
@@ -139,7 +140,8 @@ class Nic:
 
 class HostContext:
     """A network endpoint in the simulation: the driver or one worker.  It
-    bills `ledger`, the simulation's unless it is given another."""
+    bills `ledger`, the simulation's unless it is given another, and issues
+    invocations at `invoke_rate_per_s`, the driver rate unless given."""
 
     def __init__(
         self,
@@ -147,35 +149,37 @@ class HostContext:
         name: str,
         spec: FunctionSpec | None = None,
         invoke_rate_per_s: Fraction | None = None,
-        perf_factor: Fraction = Fraction(1),
+        perf_factor: Fraction = WARM_PERF_FACTOR,
         ledger: BillingLedger | None = None,
     ):
         self.sim = sim
         self.name = name
         self.spec = spec
         self.ledger = ledger if ledger is not None else sim.ledger
-        cfg = sim.cfg
         self.ingress = Nic(sim.nic_shaping)
         self.egress = Nic(sim.nic_shaping)
-        self.first_byte_latency_us = round(cfg.first_byte_latency_ms * US_PER_MS)
-        self.invoke_rate_per_s = (
-            invoke_rate_per_s
-            if invoke_rate_per_s is not None
-            else cfg.driver_invoke_rate_per_s
+        # the sim's figure, held per host so that one host can be made slower
+        self.first_byte_latency_us = sim.first_byte_latency_us
+        self.invoke_interval_us = sim.invoke_interval_us(
+            sim.cfg.driver_invoke_rate_per_s if invoke_rate_per_s is None else invoke_rate_per_s
         )
         self.perf_factor = perf_factor
+        self._us_per_cycle: Fraction | None = None  # derived at the first compute
         self._next_invoke_slot = 0
 
     def compute(self, cycles: int | Fraction):
         """Burn virtual CPU time for `cycles` cycles at this host's share."""
         if cycles <= 0:
             return
-        if self.spec is None:
-            throughput = Fraction(1)
-        else:
-            throughput = cpu_throughput(self.spec.memory_mib, 1)
-        seconds = Fraction(cycles) / (self.sim.cfg.vcpu_hz * throughput)
-        yield Sleep(math.ceil(seconds * self.perf_factor * US_PER_S))
+        us_per_cycle = self._us_per_cycle
+        if us_per_cycle is None:
+            throughput = (
+                Fraction(1) if self.spec is None else cpu_throughput(self.spec.memory_mib, 1)
+            )
+            us_per_cycle = self._us_per_cycle = (
+                self.perf_factor * US_PER_S / (self.sim.cfg.vcpu_hz * throughput)
+            )
+        yield Sleep(math.ceil(cycles * us_per_cycle))
 
 
 class RateLimiter:
@@ -427,12 +431,12 @@ class FaaSService:
             )
         now = self.sim.loop.now
         slot = max(now, ctx._next_invoke_slot)
-        ctx._next_invoke_slot = slot + math.ceil(Fraction(US_PER_S) / ctx.invoke_rate_per_s)
+        ctx._next_invoke_slot = slot + ctx.invoke_interval_us
         if slot > now:
             yield Sleep(slot - now)
         initiated_at = self.sim.loop.now
 
-        perf = Fraction(1) if self._warm else COLD_START_PENALTY_FACTOR
+        perf = WARM_PERF_FACTOR if self._warm else COLD_START_PENALTY_FACTOR
         self._warm = True
         worker_ctx = HostContext(
             self.sim,
@@ -447,8 +451,8 @@ class FaaSService:
         worker = Task(
             self._run_worker(worker_ctx, spec, payload, handler, started), name=worker_ctx.name
         )
-        latency_us = round(cfg.invoke_latency_ms * US_PER_MS)
-        self.sim.loop.call_at(initiated_at + latency_us, lambda: self._admit(worker))
+        admit_at = initiated_at + self.sim.invoke_latency_us
+        self.sim.loop.call_at(admit_at, lambda: self._admit(worker))
         return InvocationHandle(initiated_at, worker, started)
 
     def _admit(self, worker: Task) -> None:
@@ -475,18 +479,33 @@ class FaaSService:
 
 
 class CloudSim:
-    """Bundle of loop, config, billing and services for one simulation run."""
+    """Bundle of loop, config, billing and services for one simulation run.
+
+    It derives the config's whole-microsecond latencies once, and each
+    invocation rate's pacing interval at its first use, for every host.
+    """
 
     def __init__(self, cfg: SimConfig | None = None):
-        self.cfg = cfg or SimConfig()
+        self.cfg = cfg = cfg or SimConfig()
         self.loop = SimLoop()
-        self.prices = PriceSheet.from_config(self.cfg)
-        self.nic_shaping = NicShaping(self.cfg)
+        self.prices = PriceSheet.from_config(cfg)
+        self.nic_shaping = NicShaping(cfg)
+        self.first_byte_latency_us = round(cfg.first_byte_latency_ms * US_PER_MS)
+        self.invoke_latency_us = round(cfg.invoke_latency_ms * US_PER_MS)
+        self._invoke_intervals: dict[Fraction, int] = {}  # rate per s -> us
         self.ledger = BillingLedger(self.prices)
         self.store = ObjectStore(self)
         self.faas = FaaSService(self)
         # numbers queries and exchange runs; the number scopes their keys
         self.run_ids = itertools.count(1)
+
+    def invoke_interval_us(self, rate_per_s: Fraction) -> int:
+        """The pacing of one host's invocations at `rate_per_s`, in whole us."""
+        interval = self._invoke_intervals.get(rate_per_s)
+        if interval is None:
+            interval = math.ceil(Fraction(US_PER_S) / rate_per_s)
+            self._invoke_intervals[rate_per_s] = interval
+        return interval
 
     def driver(self, name: str = "driver") -> HostContext:
         return HostContext(self, name, invoke_rate_per_s=self.cfg.driver_invoke_rate_per_s)

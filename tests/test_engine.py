@@ -9,7 +9,7 @@ from lambada_lab import datagen, engine, errors, invoke, lcf
 from lambada_lab.billing import READ, WRITE
 from lambada_lab.clock import AllOf
 from lambada_lab.config import MIB, SimConfig
-from lambada_lab.substrate import CloudSim, FunctionSpec
+from lambada_lab.substrate import MEMORY_MIB_MAX, MEMORY_MIB_MIN, CloudSim, FunctionSpec
 
 
 def setup_data(rows=2000, files=4, rows_per_group=100, replication=1, seed=7, cfg=None):
@@ -373,6 +373,24 @@ class TestFailureModes:
         assert info.value.worker_id == 1
         assert info.value.kind == "BadMagic"
 
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            engine.q6_plan(100, 50),  # an empty shipdate interval
+            engine.build_plan_from_pipeline(
+                [], (), [("sum", {"op": "pow", "args": [{"col": "quantity"}, {"const": 2}]})]
+            ),
+        ],
+        ids=["empty-interval", "unknown-operator"],
+    )
+    def test_invalid_plan_fails_before_anything_is_billed(self, plan):
+        sim, keys, _ = setup_data(files=4)
+        with pytest.raises(ValueError):
+            run_query(sim, plan, keys)
+        assert sim.ledger.request_counts == {}
+        assert sim.ledger.worker_us == {}
+        assert sim.loop.now == 0
+
     def test_oom_budget_enforced(self, monkeypatch):
         # a 1 KiB budget for the default worker size
         monkeypatch.setattr(
@@ -383,6 +401,12 @@ class TestFailureModes:
         with pytest.raises(errors.WorkerError) as info:
             run_query(sim, plan, keys)
         assert info.value.kind == "WorkerOutOfMemory"
+
+    def test_budget_is_the_headroom_share_of_every_memory_size(self):
+        plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
+        for memory_mib in range(MEMORY_MIB_MIN, MEMORY_MIB_MAX + 1):
+            budget = engine.fragment_program(plan, FunctionSpec(memory_mib)).budget
+            assert budget == int(engine.MEMORY_HEADROOM * memory_mib * MIB)
 
     def test_crash_in_second_generation_worker_is_not_lost(self, monkeypatch):
         real = engine.run_fragment

@@ -9,9 +9,12 @@ from lambada_lab.billing import READ, WRITE, LIST, BillingLedger
 from lambada_lab.clock import AllOf, Sleep, US_PER_S
 from lambada_lab.config import MIB, SimConfig
 from lambada_lab.substrate import (
+    COLD_START_PENALTY_FACTOR,
     RECEIVE_MAX_MESSAGES,
+    WARM_PERF_FACTOR,
     CloudSim,
     FunctionSpec,
+    HostContext,
     MessageQueue,
     Nic,
     NicShaping,
@@ -440,6 +443,33 @@ class TestCompute:
         if mem < 3008:
             assert cpu_throughput(mem + 1, threads) >= t
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        mem=st.one_of(st.none(), st.integers(min_value=128, max_value=3008)),
+        perf=st.sampled_from([WARM_PERF_FACTOR, COLD_START_PENALTY_FACTOR]),
+        vcpu_hz=st.integers(min_value=1, max_value=3 * 10**9),
+        cycles=st.lists(
+            st.one_of(
+                st.integers(min_value=-1, max_value=10**10),
+                st.fractions(min_value=0, max_value=10**10, max_denominator=1000),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    def test_compute_sleeps_the_exact_time_ceiled(self, mem, perf, vcpu_hz, cycles):
+        # the host derives its time per cycle once; every call must still
+        # sleep the ceiling of the exact time of its own cycles
+        sim = make_sim(vcpu_hz=vcpu_hz)
+        spec = None if mem is None else FunctionSpec(memory_mib=mem)
+        ctx = HostContext(sim, "h", spec=spec, perf_factor=perf)
+        throughput = 1 if spec is None else cpu_throughput(mem, 1)
+        for c in cycles:
+            start = sim.loop.now
+            run(sim, ctx.compute(c))
+            seconds = Fraction(c) / (vcpu_hz * throughput)
+            assert sim.loop.now - start == max(0, math.ceil(seconds * perf * US_PER_S))
+
 
 class TestFaaS:
     def test_invocation_pacing_1000_at_250_per_s(self):
@@ -459,6 +489,15 @@ class TestFaaS:
         run(sim, main())
         assert len(initiated) == 1000
         assert initiated[-1] / US_PER_S == pytest.approx(4.0, abs=0.1)
+
+    @given(rate=st.fractions(min_value=Fraction(1, 1000), max_value=10**7))
+    def test_pacing_interval_is_the_exact_interval_ceiled(self, rate):
+        sim = make_sim()
+        expected = math.ceil(Fraction(US_PER_S) / rate)
+        assert sim.invoke_interval_us(rate) == expected
+        assert sim.invoke_interval_us(rate) == expected  # memoised
+        assert HostContext(sim, "h", invoke_rate_per_s=rate).invoke_interval_us == expected
+        assert sim.driver().invoke_interval_us == 4000  # 250/s
 
     def test_single_invocation_eu_latency(self):
         sim = CloudSim(SimConfig().with_region("eu"))
