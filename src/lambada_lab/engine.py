@@ -215,8 +215,7 @@ def fragment_program(plan, spec: FunctionSpec) -> FragmentProgram:
     steps, outputs = compile_program(
         [None if kind == "count" else expr for kind, expr in agg_op["aggs"]], index
     )
-    # int(MEMORY_HEADROOM * memory), in integer arithmetic
-    budget = MEMORY_HEADROOM.numerator * spec.memory_mib * MIB // MEMORY_HEADROOM.denominator
+    budget = int(MEMORY_HEADROOM * spec.memory_mib * MIB)
     return FragmentProgram(predicates, [index[k] for k in agg_op["keys"]], steps, outputs, budget)
 
 

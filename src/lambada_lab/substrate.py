@@ -23,8 +23,8 @@ from .config import MIB, SimConfig
 VCPU_BASELINE_MIB = 1792
 MEMORY_MIB_MIN = 128
 MEMORY_MIB_MAX = 3008
-# A cold container runs its first invocation this much slower than a warm one.
 WARM_PERF_FACTOR = Fraction(1)
+# A cold container runs its first invocation this much slower than a warm one.
 COLD_START_PENALTY_FACTOR = Fraction(6, 5)
 RECEIVE_MAX_MESSAGES = 10  # SQS ReceiveMessage's MaxNumberOfMessages cap
 
@@ -164,22 +164,18 @@ class HostContext:
             sim.cfg.driver_invoke_rate_per_s if invoke_rate_per_s is None else invoke_rate_per_s
         )
         self.perf_factor = perf_factor
-        self._us_per_cycle: Fraction | None = None  # derived at the first compute
         self._next_invoke_slot = 0
 
     def compute(self, cycles: int | Fraction):
         """Burn virtual CPU time for `cycles` cycles at this host's share."""
         if cycles <= 0:
             return
-        us_per_cycle = self._us_per_cycle
-        if us_per_cycle is None:
-            throughput = (
-                Fraction(1) if self.spec is None else cpu_throughput(self.spec.memory_mib, 1)
-            )
-            us_per_cycle = self._us_per_cycle = (
-                self.perf_factor * US_PER_S / (self.sim.cfg.vcpu_hz * throughput)
-            )
-        yield Sleep(math.ceil(cycles * us_per_cycle))
+        if self.spec is None:
+            throughput = Fraction(1)
+        else:
+            throughput = cpu_throughput(self.spec.memory_mib, 1)
+        seconds = Fraction(cycles) / (self.sim.cfg.vcpu_hz * throughput)
+        yield Sleep(math.ceil(seconds * self.perf_factor * US_PER_S))
 
 
 class RateLimiter:

@@ -9,7 +9,7 @@ from lambada_lab import datagen, engine, errors, invoke, lcf
 from lambada_lab.billing import READ, WRITE
 from lambada_lab.clock import AllOf
 from lambada_lab.config import MIB, SimConfig
-from lambada_lab.substrate import MEMORY_MIB_MAX, MEMORY_MIB_MIN, CloudSim, FunctionSpec
+from lambada_lab.substrate import CloudSim, FunctionSpec
 
 
 def setup_data(rows=2000, files=4, rows_per_group=100, replication=1, seed=7, cfg=None):
@@ -401,12 +401,6 @@ class TestFailureModes:
         with pytest.raises(errors.WorkerError) as info:
             run_query(sim, plan, keys)
         assert info.value.kind == "WorkerOutOfMemory"
-
-    def test_budget_is_the_headroom_share_of_every_memory_size(self):
-        plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
-        for memory_mib in range(MEMORY_MIB_MIN, MEMORY_MIB_MAX + 1):
-            budget = engine.fragment_program(plan, FunctionSpec(memory_mib)).budget
-            assert budget == int(engine.MEMORY_HEADROOM * memory_mib * MIB)
 
     def test_crash_in_second_generation_worker_is_not_lost(self, monkeypatch):
         real = engine.run_fragment

@@ -9,9 +9,7 @@ from lambada_lab.billing import READ, WRITE, LIST, BillingLedger
 from lambada_lab.clock import AllOf, Sleep, US_PER_S
 from lambada_lab.config import MIB, SimConfig
 from lambada_lab.substrate import (
-    COLD_START_PENALTY_FACTOR,
     RECEIVE_MAX_MESSAGES,
-    WARM_PERF_FACTOR,
     CloudSim,
     FunctionSpec,
     HostContext,
@@ -442,33 +440,6 @@ class TestCompute:
         assert cpu_throughput(mem, threads + 1) >= t
         if mem < 3008:
             assert cpu_throughput(mem + 1, threads) >= t
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        mem=st.one_of(st.none(), st.integers(min_value=128, max_value=3008)),
-        perf=st.sampled_from([WARM_PERF_FACTOR, COLD_START_PENALTY_FACTOR]),
-        vcpu_hz=st.integers(min_value=1, max_value=3 * 10**9),
-        cycles=st.lists(
-            st.one_of(
-                st.integers(min_value=-1, max_value=10**10),
-                st.fractions(min_value=0, max_value=10**10, max_denominator=1000),
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-    )
-    def test_compute_sleeps_the_exact_time_ceiled(self, mem, perf, vcpu_hz, cycles):
-        # the host derives its time per cycle once; every call must still
-        # sleep the ceiling of the exact time of its own cycles
-        sim = make_sim(vcpu_hz=vcpu_hz)
-        spec = None if mem is None else FunctionSpec(memory_mib=mem)
-        ctx = HostContext(sim, "h", spec=spec, perf_factor=perf)
-        throughput = 1 if spec is None else cpu_throughput(mem, 1)
-        for c in cycles:
-            start = sim.loop.now
-            run(sim, ctx.compute(c))
-            seconds = Fraction(c) / (vcpu_hz * throughput)
-            assert sim.loop.now - start == max(0, math.ceil(seconds * perf * US_PER_S))
 
 
 class TestFaaS:
