@@ -2,10 +2,11 @@ import hashlib
 
 import pytest
 
-from lambada_lab import datagen, engine, exchange, invoke
+from lambada_lab import datagen, engine, errors, exchange, invoke
+from lambada_lab.billing import LIST, READ, WRITE
 from lambada_lab.clock import AllOf, Future, SimLoop, Sleep, US_PER_S
 from lambada_lab.config import SimConfig
-from lambada_lab.substrate import CloudSim
+from lambada_lab.substrate import CloudSim, ZeroBlob
 
 
 def test_sleep_advances_virtual_time():
@@ -256,4 +257,46 @@ class TestEventCount:
         assert len(scheduled) == 895
         assert self.digest(scheduled) == (
             "67700c4708d06f65b759b545c6ff5d98756482ec8c55317ff802a4d3462b41a7"
+        )
+
+    def test_throttle_storm(self, scheduled):
+        # eight clients, 37 ms apart, each issue a PUT, a ranged GET and a
+        # LIST against a bucket that admits 4 reads and 2 writes per second;
+        # two LISTs run out of their 12 retries
+        cfg = SimConfig().updated(
+            bucket_read_limit_per_s=4, bucket_write_limit_per_s=2, throttle_max_retries=12
+        )
+        sim = CloudSim(cfg)
+        sim.store.seed_object("b", "blob", ZeroBlob(10**6))
+        throttled = []
+
+        def client(i):
+            ctx = sim.driver(f"c{i}")
+            yield Sleep(37_000 * i)
+            for j in range(3):
+                op = (i + j) % 3
+                try:
+                    if op == 0:
+                        yield from sim.store.put_object(ctx, "b", f"k{i}-{j}", b"x" * (100 * i))
+                    elif op == 1:
+                        lo = 1000 * i
+                        data = yield from sim.store.get_object(ctx, "b", "blob", (lo, lo + 5000))
+                        assert len(data) == 5000
+                    else:
+                        yield from sim.store.list_objects(ctx, "b", "k")
+                except errors.Throttled:
+                    throttled.append((i, j, sim.loop.now))
+
+        def main():
+            yield AllOf([sim.loop.spawn(client(i)) for i in range(8)])
+
+        sim.loop.run_task(main())
+        assert throttled == [(2, 0, 1_274_000), (5, 0, 1_385_000)]
+        ledger = sim.ledger
+        assert (ledger.count(READ), ledger.count(WRITE), ledger.count(LIST)) == (8, 8, 6)
+        assert ledger.throttle_events == 146
+        assert sim.loop.now == 3_219_061
+        assert len(scheduled) == 184
+        assert self.digest(scheduled) == (
+            "dcb38770918102af5339cc9237ca62d50c0df9cfb69d603fcfebbaa7709eadf5"
         )
