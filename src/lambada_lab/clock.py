@@ -77,14 +77,59 @@ class Future:
 
 
 class Task(Future):
-    """A running generator; also a Future resolving to its return value."""
+    """A running generator; also a Future resolving to its return value.
 
-    __slots__ = ("gen", "name")
+    A task is its own event: the loop calls it to take one step.  It has at
+    most one wake-up pending, so the value or error to resume it with is
+    kept on the task until that step takes it.
+    """
+
+    __slots__ = ("gen", "name", "loop", "_send", "_throw")
 
     def __init__(self, gen: Generator, name: str = ""):
         super().__init__()
         self.gen = gen
         self.name = name
+        self.loop: SimLoop | None = None  # set by SimLoop.start
+        self._send: Any = None
+        self._throw: BaseException | None = None
+
+    def __call__(self) -> None:
+        """Resume the generator once and schedule what it yields."""
+        if self._done:
+            return
+        value, exc = self._send, self._throw
+        self._send = self._throw = None
+        try:
+            if exc is not None:
+                yielded = self.gen.throw(exc)
+            else:
+                yielded = self.gen.send(value)
+        except StopIteration as stop:
+            self.set_result(stop.value)
+            return
+        except Exception as err:
+            self.set_error(err)
+            self.loop._failed.append(self)
+            return
+        if isinstance(yielded, Sleep):
+            loop = self.loop
+            loop.call_at(loop.now + yielded.duration_us, self)
+        elif isinstance(yielded, Future):
+            yielded.add_callback(self._wake)
+        else:
+            self._throw = TypeError(f"task yielded unsupported value: {yielded!r}")
+            self()
+
+    def _wake(self, fut: Future) -> None:
+        """Resume with `fut`'s outcome at the current instant, after the events
+        already queued for it.  `result()` marks an error observed."""
+        try:
+            self._send = fut.result()
+        except Exception as err:
+            self._throw = err
+        loop = self.loop
+        loop.call_at(loop.now, self)
 
 
 class AllOf(Future):
@@ -137,45 +182,12 @@ class SimLoop:
 
     def start(self, task: Task) -> Task:
         """Schedule `task`'s first step at the current time."""
-        self.call_at(self.now, lambda: self._step(task, None, None))
+        task.loop = self
+        self.call_at(self.now, task)
         return task
 
     def spawn(self, gen: Generator, name: str = "") -> Task:
         return self.start(Task(gen, name=name))
-
-    def _step(self, task: Task, value: Any, exc: BaseException | None) -> None:
-        if task._done:
-            return
-        try:
-            if exc is not None:
-                yielded = task.gen.throw(exc)
-            else:
-                yielded = task.gen.send(value)
-        except StopIteration as stop:
-            task.set_result(stop.value)
-            return
-        except Exception as err:
-            task.set_error(err)
-            self._failed.append(task)
-            return
-        self._dispatch(task, yielded)
-
-    def _dispatch(self, task: Task, yielded: Any) -> None:
-        if isinstance(yielded, Sleep):
-            self.call_at(self.now + yielded.duration_us, lambda: self._step(task, None, None))
-        elif isinstance(yielded, Future):
-            yielded.add_callback(lambda fut: self._resume_from(task, fut))
-        else:
-            self._step(task, None, TypeError(f"task yielded unsupported value: {yielded!r}"))
-
-    def _resume_from(self, task: Task, fut: Future) -> None:
-        try:
-            value = fut.result()
-        except Exception as err:
-            exc = err
-            self.call_at(self.now, lambda: self._step(task, None, exc))
-            return
-        self.call_at(self.now, lambda: self._step(task, value, None))
 
     def run(self) -> None:
         """Drain the event queue, advancing virtual time."""

@@ -13,6 +13,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Generator
 
 from . import errors
@@ -69,7 +70,9 @@ class ZeroBlob:
         start, stop, step = item.indices(self.size)
         if step != 1:
             raise ValueError("ZeroBlob slices must be contiguous")
-        return ZeroBlob(max(0, stop - start))
+        blob = object.__new__(ZeroBlob)  # the size is known to be valid
+        blob.size = max(0, stop - start)
+        return blob
 
     def __repr__(self) -> str:
         return f"ZeroBlob({self.size})"
@@ -246,22 +249,33 @@ class ObjectStore:
         if size > self.sim.cfg.max_key_bytes:
             raise errors.KeyTooLong(f"key is {size} bytes, limit is {self.sim.cfg.max_key_bytes}")
 
-    def _request(self, ctx: HostContext, b: Bucket, category: str) -> Generator:
-        """Admit and bill one request: the path every store call takes.
+    def _admit(self, ctx: HostContext, b: Bucket, category: str) -> bool:
+        """Try to admit one request at the current time; bill it if admitted.
 
-        Admission retries against the bucket's rate limiter after each
-        throttle; the request is billed to the host's ledger once admitted.
-        It does not wait for its first byte: the caller sleeps once from the
-        admission, to the end of its transfer (GET, PUT) or to its first
-        byte (LIST).  Reserving a NIC at admission, for a transfer that
+        Every store call takes this path, and retries with `_retry_admission`
+        only when it fails.  An admitted request is billed to the host's
+        ledger.  It does not wait for its first byte: the caller sleeps once
+        from the admission, to the end of its transfer (GET, PUT) or to its
+        first byte (LIST).  Reserving a NIC at admission, for a transfer that
         starts at the first byte, keeps the order of its reservations: a NIC
         carries one host's transfers, and they share one first-byte latency.
         """
-        sim = self.sim
-        cfg = sim.cfg
         limiter = b.write_limiter if category == WRITE else b.read_limiter
+        if not limiter.try_admit(self.sim.loop.now):
+            return False
+        ctx.ledger.charge_request(category, b.name)
+        return True
+
+    def _retry_admission(self, ctx: HostContext, b: Bucket, category: str) -> Generator:
+        """Retry a request that `_admit` just throttled until it is admitted.
+
+        That failed attempt is the first throttle; each further one sleeps
+        the retry delay, and one more than `throttle_max_retries` raises
+        Throttled.
+        """
+        cfg = self.sim.cfg
         retries = 0
-        while not limiter.try_admit(sim.loop.now):
+        while True:
             ctx.ledger.record_throttle()
             if retries >= cfg.throttle_max_retries:
                 raise errors.Throttled(
@@ -269,7 +283,8 @@ class ObjectStore:
                 )
             retries += 1
             yield Sleep(cfg.throttle_retry_delay_ms * US_PER_MS)
-        ctx.ledger.charge_request(category, b.name)
+            if self._admit(ctx, b, category):
+                return
 
     def put_object(self, ctx: HostContext, bucket: str, key: str, data) -> Generator:
         """Write an object. Overwrites atomically once the upload finishes.
@@ -279,7 +294,8 @@ class ObjectStore:
         """
         b = self.bucket(bucket)
         self._check_key(key)
-        yield from self._request(ctx, b, WRITE)
+        if not self._admit(ctx, b, WRITE):
+            yield from self._retry_admission(ctx, b, WRITE)
         now = self.sim.loop.now
         yield Sleep(ctx.egress.reserve(len(data), now + ctx.first_byte_latency_us) - now)
         b.write(key, data)
@@ -304,7 +320,8 @@ class ObjectStore:
         them.
         """
         b = self.bucket(bucket)
-        yield from self._request(ctx, b, READ)
+        if not self._admit(ctx, b, READ):
+            yield from self._retry_admission(ctx, b, READ)
         obj = b.objects.get(key)
         if obj is None:
             yield Sleep(ctx.first_byte_latency_us)
@@ -332,7 +349,8 @@ class ObjectStore:
         returns a new list.
         """
         b = self.bucket(bucket)
-        yield from self._request(ctx, b, LIST)
+        if not self._admit(ctx, b, LIST):
+            yield from self._retry_admission(ctx, b, LIST)
         yield Sleep(ctx.first_byte_latency_us)
         keys = b.keys
         lo = bisect_left(keys, prefix)
@@ -448,7 +466,7 @@ class FaaSService:
             self._run_worker(worker_ctx, spec, payload, handler, started), name=worker_ctx.name
         )
         admit_at = initiated_at + self.sim.invoke_latency_us
-        self.sim.loop.call_at(admit_at, lambda: self._admit(worker))
+        self.sim.loop.call_at(admit_at, partial(self._admit, worker))
         return InvocationHandle(initiated_at, worker, started)
 
     def _admit(self, worker: Task) -> None:
@@ -474,6 +492,28 @@ class FaaSService:
                 self._start(self._pending.popleft())
 
 
+# A limit below 1 admits nothing, so a run waits forever; a negative time
+# cannot be slept, so a run fails at its first use
+POSITIVE_CONFIG_KEYS = ("concurrency_limit", "bucket_read_limit_per_s", "bucket_write_limit_per_s")
+NON_NEGATIVE_CONFIG_KEYS = (
+    "first_byte_latency_ms",
+    "invoke_latency_ms",
+    "queue_poll_latency_ms",
+    "throttle_retry_delay_ms",
+    "throttle_max_retries",
+)
+
+
+def check_config(cfg: SimConfig) -> None:
+    """Raise ConfigError for a config that could only hang or fail mid-run."""
+    for key in POSITIVE_CONFIG_KEYS:
+        if getattr(cfg, key) < 1:
+            raise errors.ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    for key in NON_NEGATIVE_CONFIG_KEYS:
+        if getattr(cfg, key) < 0:
+            raise errors.ConfigError(f"{key} must not be negative, got {getattr(cfg, key)}")
+
+
 class CloudSim:
     """Bundle of loop, config, billing and services for one simulation run.
 
@@ -483,6 +523,7 @@ class CloudSim:
 
     def __init__(self, cfg: SimConfig | None = None):
         self.cfg = cfg = cfg or SimConfig()
+        check_config(cfg)
         self.loop = SimLoop()
         self.prices = PriceSheet.from_config(cfg)
         self.nic_shaping = NicShaping(cfg)

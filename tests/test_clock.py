@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import pytest
 
@@ -201,6 +202,94 @@ def test_deadlock_is_chained_to_the_error_that_caused_it():
     with pytest.raises(RuntimeError, match="never completed") as info:
         loop.run_task(main())
     assert isinstance(info.value.__cause__, KeyError)
+
+
+def test_done_future_resumes_after_the_events_already_queued():
+    loop = SimLoop()
+    done = Future()
+    done.set_result("v")
+    order = []
+
+    def first():
+        order.append(("first", (yield done)))
+
+    def second():
+        order.append(("second", None))
+        yield Sleep(0)
+
+    loop.spawn(first())
+    loop.spawn(second())
+    loop.run()
+    assert order == [("second", None), ("first", "v")]
+    assert loop.now == 0
+
+
+def test_future_error_is_thrown_at_the_yield_and_counts_as_observed():
+    loop = SimLoop()
+    fut = Future()
+    boom = ValueError("boom")
+
+    def child():
+        yield Sleep(1)
+        raise KeyError("child")
+
+    def main():
+        task = loop.spawn(child(), name="child")
+        fut.set_error(boom)
+        try:
+            yield fut
+        except ValueError as err:
+            caught = err
+        yield Sleep(5)  # the child has failed by now
+        try:
+            yield task
+        except KeyError:
+            return caught
+
+    assert loop.run_task(main()) is boom
+
+
+def test_unsupported_yield_fails_the_task_with_type_error():
+    loop = SimLoop()
+
+    def recovers():
+        try:
+            yield 42
+        except TypeError as err:
+            yield Sleep(2)
+            return str(err), loop.now
+
+    def gives_up():
+        yield "not an event"
+
+    assert loop.run_task(recovers()) == ("task yielded unsupported value: 42", 2)
+    with pytest.raises(TypeError, match="not an event"):
+        loop.run_task(gives_up())
+
+
+def test_task_does_not_keep_the_value_it_was_sent():
+    loop = SimLoop()
+
+    class Payload:
+        pass
+
+    refs = []
+
+    def producer(fut):
+        payload = Payload()
+        refs.append(weakref.ref(payload))
+        yield Sleep(1)
+        fut.set_result(payload)
+
+    def consumer():
+        fut = Future()
+        loop.spawn(producer(fut))
+        yield fut  # the value is dropped at once
+        del fut
+        yield Sleep(1)
+        return refs[0]() is None
+
+    assert loop.run_task(consumer())
 
 
 class TestEventCount:

@@ -29,6 +29,22 @@ def make_sim(**overrides):
     return CloudSim(SimConfig().updated(**overrides))
 
 
+class TestZeroBlob:
+    bound = st.one_of(st.none(), st.integers(min_value=-300, max_value=300))
+
+    @settings(max_examples=300, deadline=None)
+    @given(size=st.integers(min_value=0, max_value=200), lo=bound, hi=bound)
+    def test_slice_has_the_length_of_the_same_bytes_slice(self, size, lo, hi):
+        part = ZeroBlob(size)[lo:hi]
+        assert type(part) is ZeroBlob
+        assert len(part) == len(bytes(size)[lo:hi])
+
+    @pytest.mark.parametrize("step", [2, -1])
+    def test_slice_with_a_step_is_rejected(self, step):
+        with pytest.raises(ValueError):
+            ZeroBlob(10)[::step]
+
+
 class TestObjectStore:
     def test_put_one_mib_duration_and_billing(self):
         # closed form: 20 ms first byte + 1 MiB / 90 MiB/s
@@ -300,6 +316,45 @@ class NaiveNic:
 mib_per_s = st.builds(
     Fraction, st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=7)
 )
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("concurrency_limit", 0),
+            ("bucket_read_limit_per_s", 0),
+            ("bucket_write_limit_per_s", 0),
+            ("first_byte_latency_ms", Fraction(-1, 3)),
+            ("invoke_latency_ms", Fraction(-1)),
+            ("queue_poll_latency_ms", -1),
+            ("throttle_retry_delay_ms", -1),
+            ("throttle_max_retries", -1),
+        ],
+    )
+    def test_config_that_can_only_hang_or_fail_late_is_rejected(self, field, value):
+        with pytest.raises(errors.ConfigError, match=field):
+            make_sim(**{field: value})
+
+    def test_smallest_accepted_values_run(self):
+        sim = make_sim(
+            concurrency_limit=1,
+            bucket_read_limit_per_s=1,
+            bucket_write_limit_per_s=1,
+            first_byte_latency_ms=Fraction(0),
+            invoke_latency_ms=Fraction(0),
+            queue_poll_latency_ms=0,
+            throttle_retry_delay_ms=0,
+            throttle_max_retries=0,
+        )
+        sim.store.create_bucket("b")
+        ctx = sim.driver()
+
+        def main():
+            yield from sim.store.put_object(ctx, "b", "k", b"abc")
+            return (yield from sim.store.get_object(ctx, "b", "k"))
+
+        assert run(sim, main()) == b"abc"
 
 
 class TestNicShaper:
