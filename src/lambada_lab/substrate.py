@@ -493,7 +493,8 @@ class FaaSService:
 
 
 # A limit below 1 admits nothing, so a run waits forever; a negative time
-# cannot be slept, so a run fails at its first use
+# cannot be slept, so a run fails at its first use; a negative retry budget
+# means nothing
 POSITIVE_CONFIG_KEYS = ("concurrency_limit", "bucket_read_limit_per_s", "bucket_write_limit_per_s")
 NON_NEGATIVE_CONFIG_KEYS = (
     "first_byte_latency_ms",
