@@ -1,8 +1,10 @@
+import hashlib
 from collections import defaultdict
+from functools import partial
 
 import pytest
 
-from lambada_lab.clock import US_PER_S
+from lambada_lab.clock import US_PER_S, SimLoop, Task
 from lambada_lab.substrate import RateLimiter
 
 
@@ -36,3 +38,44 @@ def admission_log(monkeypatch) -> AdmissionLog:
 
     monkeypatch.setattr(RateLimiter, "try_admit", recording)
     return log
+
+
+class Schedule:
+    """Every event pushed through `SimLoop.call_at`, in order: its time and
+    the task it wakes."""
+
+    def __init__(self):
+        self.times: list[int] = []
+        self.wakes: list[tuple[int, str]] = []
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def times_digest(self) -> str:
+        return hashlib.sha256(repr(self.times).encode()).hexdigest()
+
+    def wakes_digest(self) -> str:
+        return hashlib.sha256(repr(self.wakes).encode()).hexdigest()
+
+
+def woken(fn) -> str:
+    """The task an event wakes: its name, else its generator's qualified
+    name; a FaaS admission is named after the worker it admits."""
+    if isinstance(fn, partial):
+        return "admit " + fn.args[0].name
+    assert isinstance(fn, Task), fn
+    return fn.name or fn.gen.__qualname__
+
+
+@pytest.fixture
+def scheduled(monkeypatch) -> Schedule:
+    schedule = Schedule()
+    call_at = SimLoop.call_at
+
+    def recording(loop, when_us, fn):
+        schedule.times.append(when_us)
+        schedule.wakes.append((when_us, woken(fn)))
+        return call_at(loop, when_us, fn)
+
+    monkeypatch.setattr(SimLoop, "call_at", recording)
+    return schedule

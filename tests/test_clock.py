@@ -1,4 +1,3 @@
-import hashlib
 import weakref
 
 import pytest
@@ -296,24 +295,10 @@ class TestEventCount:
     """Every event passes through `SimLoop.call_at`, as perfbench counts them.
 
     Pins the number of events and a SHA-256 over their scheduled times in
-    order, so a faster loop must neither add, drop nor reorder events.
+    order, so a faster loop must neither add, drop nor reorder events.  The
+    query and invocation runs also pin a SHA-256 over the (time, woken
+    task) pairs, so swapping which task runs at an instant shows too.
     """
-
-    @pytest.fixture
-    def scheduled(self, monkeypatch):
-        times = []
-        call_at = SimLoop.call_at
-
-        def counting(loop, when_us, fn):
-            times.append(when_us)
-            return call_at(loop, when_us, fn)
-
-        monkeypatch.setattr(SimLoop, "call_at", counting)
-        return times
-
-    @staticmethod
-    def digest(times):
-        return hashlib.sha256(repr(times).encode()).hexdigest()
 
     @staticmethod
     def run_exchange(mode):
@@ -324,14 +309,14 @@ class TestEventCount:
     def test_offsets_in_name_exchange(self, scheduled):
         self.run_exchange(exchange.WC_OFFSETS_IN_NAME)
         assert len(scheduled) == 302
-        assert self.digest(scheduled) == (
+        assert scheduled.times_digest() == (
             "8ab65ae9aa3cc6b1a365dd670e67b8b965f097235809e3835e3da9b5e633ff96"
         )
 
     def test_wc_off_exchange(self, scheduled):
         self.run_exchange(exchange.WC_OFF)
         assert len(scheduled) == 274
-        assert self.digest(scheduled) == (
+        assert scheduled.times_digest() == (
             "1954db4c0c0223ded642ee0fe960106a6fb27004d9db97ba848fcc2f35dddcc2"
         )
 
@@ -344,8 +329,20 @@ class TestEventCount:
         plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
         sim.loop.run_task(engine.execute(sim, plan, keys, strategy=invoke.TWO_LEVEL))
         assert len(scheduled) == 895
-        assert self.digest(scheduled) == (
+        assert scheduled.times_digest() == (
             "67700c4708d06f65b759b545c6ff5d98756482ec8c55317ff802a4d3462b41a7"
+        )
+        assert scheduled.wakes_digest() == (
+            "50abbe6b86ec924fe1bd70b4c00aec8939d6a6069dfdeb3881df62819b743342"
+        )
+
+    def test_two_level_invocation(self, scheduled):
+        sim = CloudSim(SimConfig())
+        plan = invoke.build_plan(256, invoke.TWO_LEVEL)
+        sim.loop.run_task(invoke.run_plan(sim.driver(), plan))
+        assert len(scheduled) == 1010
+        assert scheduled.wakes_digest() == (
+            "787dfdfde6800eddf1a581eb682d0c7f6d3fe7b95f99142ba0f5fd6c9588120b"
         )
 
     def test_throttle_storm(self, scheduled):
@@ -386,6 +383,6 @@ class TestEventCount:
         assert ledger.throttle_events == 146
         assert sim.loop.now == 3_219_061
         assert len(scheduled) == 184
-        assert self.digest(scheduled) == (
+        assert scheduled.times_digest() == (
             "dcb38770918102af5339cc9237ca62d50c0df9cfb69d603fcfebbaa7709eadf5"
         )
