@@ -1,11 +1,12 @@
 """Driver/worker query engine over the simulated substrate.
 
-Plans are small JSON-serializable operator lists split into a serverless
-scope (scan, filter, map, partial aggregation) and a driver scope (final
-aggregation, collect).  The driver invokes workers, each worker scans its
-file share and posts a partial result to the result queue; the driver merges
-partials into the final answer.  The driver and its workers bill the query's
-own ledger, which forwards every charge to the simulation's.
+A plan is one JSON-serializable object: the scan's projection and filter
+intervals, and the group keys and aggregates of the partial aggregation.
+The driver invokes workers; each worker runs the plan over its file share
+(scan, filter, partial aggregation) and posts a partial result to the
+result queue, and the driver merges the partials into the final answer.
+The driver and its workers bill the query's own ledger, which forwards
+every charge to the simulation's.
 """
 
 from __future__ import annotations
@@ -136,12 +137,9 @@ def expr_columns(expr) -> set[str]:
 
 # ----------------------------------------------------------------------- plan
 
-SERVERLESS = "serverless"
-DRIVER = "driver"
-
-
 def build_plan_from_pipeline(filter_intervals, group_keys, aggregates):
-    """Build a scoped plan for filter -> group -> aggregate pipelines.
+    """Build the plan of a filter -> group -> aggregate pipeline:
+    ``{"projection", "intervals", "keys", "aggs"}``.
 
     `filter_intervals`: [(column, lo, hi)] conjunction, pushed into the scan.
     `group_keys`: column names (may be empty for a global aggregate).
@@ -160,37 +158,19 @@ def build_plan_from_pipeline(filter_intervals, group_keys, aggregates):
             used |= expr_columns(expr)
     if not used:
         used = {name for name, _, _ in filter_intervals}
-    projection = tuple(sorted(used))
-    return [
-        {
-            "op": "scan",
-            "scope": SERVERLESS,
-            "projection": list(projection),
-            "intervals": [list(iv) for iv in filter_intervals],
-        },
-        {
-            "op": "partial_agg",
-            "scope": SERVERLESS,
-            "keys": list(group_keys),
-            "aggs": [[kind, expr] for kind, expr in aggregates],
-        },
-        {"op": "final_agg", "scope": DRIVER},
-        {"op": "collect", "scope": DRIVER},
-    ]
-
-
-def _plan_op(plan, name):
-    for op in plan:
-        if op["op"] == name:
-            return op
-    raise ValueError(f"plan has no {name} operator")
+    return {
+        "projection": sorted(used),
+        "intervals": [list(iv) for iv in filter_intervals],
+        "keys": list(group_keys),
+        "aggs": [[kind, expr] for kind, expr in aggregates],
+    }
 
 
 # ------------------------------------------------------------------- fragment
 
 @dataclass(frozen=True)
 class FragmentProgram:
-    """A plan's serverless scope, compiled once per query for all its workers.
+    """A plan compiled once per query for all its workers.
 
     `key_cols` are the group keys' positions in the projection, `steps` and
     `outputs` the aggregates' `compile_program`, and `budget` the bytes a
@@ -205,22 +185,20 @@ class FragmentProgram:
 
 
 def fragment_program(plan, spec: FunctionSpec) -> FragmentProgram:
-    """Compile `plan`'s serverless scope for workers of `spec`; an invalid
-    plan raises here, before any worker runs."""
-    scan_op = _plan_op(plan, "scan")
-    agg_op = _plan_op(plan, "partial_agg")
-    projection = tuple(scan_op["projection"])
-    predicates = PredicateSet(tuple((n, lo, hi) for n, lo, hi in scan_op["intervals"]), projection)
+    """Compile `plan` for workers of `spec`; an invalid plan raises here,
+    before any worker runs."""
+    projection = tuple(plan["projection"])
+    predicates = PredicateSet(tuple((n, lo, hi) for n, lo, hi in plan["intervals"]), projection)
     index = {name: j for j, name in enumerate(projection)}
     steps, outputs = compile_program(
-        [None if kind == "count" else expr for kind, expr in agg_op["aggs"]], index
+        [None if kind == "count" else expr for kind, expr in plan["aggs"]], index
     )
     budget = int(MEMORY_HEADROOM * spec.memory_mib * MIB)
-    return FragmentProgram(predicates, [index[k] for k in agg_op["keys"]], steps, outputs, budget)
+    return FragmentProgram(predicates, [index[k] for k in plan["keys"]], steps, outputs, budget)
 
 
 def run_fragment(sim, ctx, bucket, paths, program: FragmentProgram):
-    """Execute the serverless scope over one worker's files; returns its partial."""
+    """Execute the plan over one worker's files; returns its partial."""
     batches, _report = yield from execute_scan(sim, ctx, bucket, paths, program.predicates)
     held_bytes = sum(8 * len(col) for batch in batches for col in batch)
     if held_bytes > program.budget:
@@ -426,11 +404,9 @@ def execute(
 
 def reference_execute(tables, column_names, plan):
     """Single-node oracle: flat recompute over raw column-major tables."""
-    scan_op = _plan_op(plan, "scan")
-    agg_op = _plan_op(plan, "partial_agg")
-    intervals = scan_op["intervals"]
-    keys = agg_op["keys"]
-    aggs = agg_op["aggs"]
+    intervals = plan["intervals"]
+    keys = plan["keys"]
+    aggs = plan["aggs"]
     groups: dict[tuple, list[int]] = {}
     for table in tables:
         for i in range(len(table[0])):

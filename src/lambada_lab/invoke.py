@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .clock import AllOf, Sleep
+from .clock import AllOf, Future, Sleep
 from .substrate import FunctionSpec
 
 DIRECT = "direct"
@@ -116,14 +116,19 @@ def run_plan(
     own invocations (default: nothing).  `payload_extra(wid)` supplies the
     JSON-serializable `data` shipped inside worker `wid`'s call payload;
     first-generation payloads carry their children's data too.  A direct
-    plan is one whose workers have no children.  Every time in the report
+    plan is one whose workers have no children.  A worker's initiation is
+    the instant `FaaSService.invoke` returns its task, and each worker
+    records its own start as its handler begins.  Every time in the report
     counts from the plan's start, so a plan on a reused sim reads the same.
     """
     sim = ctx.sim
     spec = spec or FunctionSpec()
     fragment = fragment or _noop_fragment
-    # (worker, generation, parent, handle), in invocation order
-    handles: list = []
+    # (worker, generation, parent, initiated), in invocation order; invoke
+    # yields nothing after it initiates a call, so it returns at the initiation
+    initiated: list[tuple[int, int, int, int]] = []
+    started: dict[int, int] = {}  # worker -> its start
+    all_started = Future()  # resolved when the last worker starts
 
     def extra(wid: int):
         return payload_extra(wid) if payload_extra else None
@@ -137,25 +142,27 @@ def run_plan(
     def handler(ctx, payload):
         info = json.loads(payload)
         wid = info["id"]
+        started[wid] = sim.loop.now
+        if len(started) == plan.P:
+            all_started.set_result()
         for cid, data in info["children"]:
-            handle = yield from invoke_worker(ctx, cid, data, [])
-            handles.append((cid, 2, wid, handle))
+            yield from invoke_worker(ctx, cid, data, [])
+            initiated.append((cid, 2, wid, sim.loop.now))
         yield from fragment(ctx, wid, info["data"])
 
     def main():
         start = sim.loop.now
+        first_gen = []
         for wid in plan.first_gen:
             children = [[cid, extra(cid)] for cid in plan.assignment.get(wid, ())]
-            handle = yield from invoke_worker(ctx, wid, extra(wid), children)
-            handles.append((wid, 1, -1, handle))
-        yield AllOf([handle.worker for _, gen, _, handle in handles if gen == 1])
-        # every child is invoked by now; wait until each one has started
-        yield AllOf([handle.started for *_, handle in handles])
+            first_gen.append((yield from invoke_worker(ctx, wid, extra(wid), children)))
+            initiated.append((wid, 1, -1, sim.loop.now))
+        yield AllOf(first_gen)
+        # every child is invoked by now; wait until the last one has started
+        yield all_started
         rows = [
-            WorkerTiming(
-                wid, gen, parent, handle.initiated_at_us - start, handle.started_at_us - start
-            )
-            for wid, gen, parent, handle in handles
+            WorkerTiming(wid, gen, parent, at - start, started[wid] - start)
+            for wid, gen, parent, at in initiated
         ]
         return InvocationReport(
             plan,

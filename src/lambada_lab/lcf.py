@@ -157,25 +157,6 @@ def write_file(schema: Schema, row_groups) -> bytes:
     return bytes(body) + footer + struct.pack("<I", len(footer)) + MAGIC
 
 
-def encode_footer(footer: FileFooter) -> bytes:
-    out = bytearray()
-    out += struct.pack("<H", footer.version)
-    out += struct.pack("<H", len(footer.schema))
-    for name, typ in footer.schema.columns:
-        raw = name.encode("utf-8")
-        out += struct.pack("<H", len(raw)) + raw + struct.pack("<B", typ)
-    out += struct.pack("<I", len(footer.row_groups))
-    for rg in footer.row_groups:
-        out += struct.pack("<Q", rg.row_count)
-        for (name, typ), chunk in zip(footer.schema.columns, rg.chunks):
-            pack = _VALUE_PACK[typ]
-            out += struct.pack("<QQQB", chunk.offset, chunk.compressed_len,
-                               chunk.uncompressed_len, chunk.encoding)
-            out += struct.pack(pack, chunk.stats.min_value)
-            out += struct.pack(pack, chunk.stats.max_value)
-    return bytes(out)
-
-
 _FOOTER_HEAD = struct.Struct("<HH")
 _NAME_LEN = struct.Struct("<H")
 _GROUP_COUNT = struct.Struct("<I")
@@ -188,6 +169,21 @@ def _row_group_struct(schema: Schema) -> struct.Struct:
     return struct.Struct(
         "<Q" + "".join("QQQB" + 2 * _VALUE_PACK[typ][1] for _, typ in schema.columns)
     )
+
+
+def encode_footer(footer: FileFooter) -> bytes:
+    out = bytearray(_FOOTER_HEAD.pack(footer.version, len(footer.schema)))
+    for name, typ in footer.schema.columns:
+        raw = name.encode("utf-8")
+        out += _NAME_LEN.pack(len(raw)) + raw + bytes((typ,))
+    out += _GROUP_COUNT.pack(len(footer.row_groups))
+    entry = _row_group_struct(footer.schema)
+    for rg in footer.row_groups:
+        fields = [rg.row_count]
+        for offset, clen, ulen, encoding, (min_v, max_v) in rg.chunks:
+            fields += (offset, clen, ulen, encoding, min_v, max_v)
+        out += entry.pack(*fields)
+    return bytes(out)
 
 
 def decode_footer(raw: bytes, data_end: int | None = None) -> FileFooter:

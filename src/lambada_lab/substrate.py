@@ -403,17 +403,6 @@ class MessageQueue:
         return batch
 
 
-@dataclass
-class InvocationHandle:
-    initiated_at_us: int
-    worker: Task
-    started: Future
-
-    @property
-    def started_at_us(self) -> int:
-        return self.started.result()
-
-
 class FaaSService:
     """Simulated FaaS: paced invocations, concurrency limit, cold starts."""
 
@@ -432,11 +421,12 @@ class FaaSService:
         handler: Callable[[HostContext, bytes], Generator],
         worker_name: str = "",
     ) -> Generator:
-        """Issue one invocation from `ctx`; returns an InvocationHandle.
+        """Issue one invocation from `ctx`; returns the worker's task.
 
         The issuing task is paced at its context's aggregate invocation rate;
-        the per-call network latency is pipelined and does not block it.  The
-        worker bills the invoker's ledger.
+        the per-call network latency is pipelined and does not block it, so
+        the call is initiated at the instant this returns.  The worker bills
+        the invoker's ledger.
         """
         cfg = self.sim.cfg
         if len(payload) > cfg.max_payload_bytes:
@@ -461,13 +451,10 @@ class FaaSService:
             ledger=ctx.ledger,
         )
 
-        started = Future()
-        worker = Task(
-            self._run_worker(worker_ctx, spec, payload, handler, started), name=worker_ctx.name
-        )
+        worker = Task(self._run_worker(worker_ctx, spec, payload, handler), name=worker_ctx.name)
         admit_at = initiated_at + self.sim.invoke_latency_us
         self.sim.loop.call_at(admit_at, partial(self._admit, worker))
-        return InvocationHandle(initiated_at, worker, started)
+        return worker
 
     def _admit(self, worker: Task) -> None:
         if self.running < self.sim.cfg.concurrency_limit:
@@ -480,9 +467,8 @@ class FaaSService:
         self.peak_concurrency = max(self.peak_concurrency, self.running)
         self.sim.loop.start(worker)
 
-    def _run_worker(self, ctx, spec, payload, handler, started) -> Generator:
+    def _run_worker(self, ctx, spec, payload, handler) -> Generator:
         start_us = self.sim.loop.now
-        started.set_result(start_us)
         try:
             return (yield from handler(ctx, payload))
         finally:
@@ -492,24 +478,35 @@ class FaaSService:
                 self._start(self._pending.popleft())
 
 
-# A limit below 1 admits nothing, so a run waits forever; a negative time
-# cannot be slept, so a run fails at its first use; a negative retry budget
-# means nothing
-POSITIVE_CONFIG_KEYS = ("concurrency_limit", "bucket_read_limit_per_s", "bucket_write_limit_per_s")
+# A limit below 1 admits nothing, so a run waits forever; a clock below
+# 1 Hz or a rate of 0 divides by zero when a host computes or is made; a
+# negative time cannot be slept, so a run fails at its first use; a negative
+# retry budget or decode cost means nothing
+AT_LEAST_ONE_CONFIG_KEYS = (
+    "concurrency_limit",
+    "bucket_read_limit_per_s",
+    "bucket_write_limit_per_s",
+    "vcpu_hz",
+)
+POSITIVE_CONFIG_KEYS = ("driver_invoke_rate_per_s", "worker_invoke_rate_per_s")
 NON_NEGATIVE_CONFIG_KEYS = (
     "first_byte_latency_ms",
     "invoke_latency_ms",
     "queue_poll_latency_ms",
     "throttle_retry_delay_ms",
     "throttle_max_retries",
+    "decode_cycles_per_byte",
 )
 
 
 def check_config(cfg: SimConfig) -> None:
     """Raise ConfigError for a config that could only hang or fail mid-run."""
-    for key in POSITIVE_CONFIG_KEYS:
+    for key in AT_LEAST_ONE_CONFIG_KEYS:
         if getattr(cfg, key) < 1:
             raise errors.ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    for key in POSITIVE_CONFIG_KEYS:
+        if getattr(cfg, key) <= 0:
+            raise errors.ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
     for key in NON_NEGATIVE_CONFIG_KEYS:
         if getattr(cfg, key) < 0:
             raise errors.ConfigError(f"{key} must not be negative, got {getattr(cfg, key)}")

@@ -36,25 +36,20 @@ class TestPlanBuilding:
             ("returnflag",),
             [("sum", {"col": "quantity"}), ("count", None)],
         )
-        ops = [op["op"] for op in plan]
-        assert ops == ["scan", "partial_agg", "final_agg", "collect"]
-        scan_op = plan[0]
-        assert scan_op["scope"] == engine.SERVERLESS
-        assert scan_op["intervals"] == [["shipdate", 0, 100]]
+        assert plan["intervals"] == [["shipdate", 0, 100]]
         # shipdate is read by the filter only: the scan fetches it per group
-        assert set(scan_op["projection"]) == {"returnflag", "quantity"}
-        assert plan[2]["scope"] == engine.DRIVER
+        assert set(plan["projection"]) == {"returnflag", "quantity"}
 
     def test_count_only_plan_projects_its_filter_columns(self):
         plan = engine.build_plan_from_pipeline(
             [("shipdate", 0, 100), ("discount", 2, 4)], (), [("count", None)]
         )
-        assert plan[0]["projection"] == ["discount", "shipdate"]
+        assert plan["projection"] == ["discount", "shipdate"]
 
     def test_no_filter_projects_used_columns_only(self):
         plan = engine.build_plan_from_pipeline([], (), [("sum", {"col": "quantity"})])
-        assert plan[0]["projection"] == ["quantity"]
-        assert plan[0]["intervals"] == []
+        assert plan["projection"] == ["quantity"]
+        assert plan["intervals"] == []
 
     def test_plan_is_json_serializable(self):
         plan = engine.q1_plan(1000)
@@ -80,7 +75,7 @@ class TestExpressions:
         assert compiled == [engine.eval_expr(expr, r) for r in rows] == [False, True, True]
 
     def test_shared_subexpressions_are_computed_once(self):
-        aggs = engine._plan_op(engine.q1_plan(1000), "partial_agg")["aggs"]
+        aggs = engine.q1_plan(1000)["aggs"]
         steps, outputs = engine.compile_program([e for _, e in aggs], {
             name: j for j, name in enumerate(datagen.COLUMNS)
         })
@@ -347,7 +342,7 @@ class TestColumnarFragment:
     def test_engine_equals_row_oracle(self, data):
         schema, files = data.draw(lcf_tables())
         plan = data.draw(plans(schema))
-        assume(plan[0]["projection"])
+        assume(plan["projection"])
         sim = CloudSim(SimConfig())
         keys = []
         for i, groups in enumerate(files):
@@ -541,8 +536,8 @@ class TestRequestCount:
         )
         tables = datagen.generate_tables(spec, 7)
         plan = engine.q1_plan(datagen.percentile_value(tables, "shipdate", fraction))
-        projection = plan[0]["projection"]
-        [(name, lo, hi)] = plan[0]["intervals"]
+        projection = plan["projection"]
+        [(name, lo, hi)] = plan["intervals"]
         assert name not in projection
         expected = skipped = in_tail = 0
         for _, data in datagen.encode_files(spec, 7):

@@ -330,6 +330,11 @@ class TestConfigChecks:
             ("queue_poll_latency_ms", -1),
             ("throttle_retry_delay_ms", -1),
             ("throttle_max_retries", -1),
+            ("vcpu_hz", 0),
+            ("driver_invoke_rate_per_s", Fraction(0)),
+            ("worker_invoke_rate_per_s", Fraction(0)),
+            ("worker_invoke_rate_per_s", Fraction(-80)),
+            ("decode_cycles_per_byte", Fraction(-1, 3)),
         ],
     )
     def test_config_that_can_only_hang_or_fail_late_is_rejected(self, field, value):
@@ -346,15 +351,27 @@ class TestConfigChecks:
             queue_poll_latency_ms=0,
             throttle_retry_delay_ms=0,
             throttle_max_retries=0,
+            vcpu_hz=1,
+            driver_invoke_rate_per_s=Fraction(1, 10**6),
+            worker_invoke_rate_per_s=Fraction(1, 10**6),
+            decode_cycles_per_byte=Fraction(0),
         )
         sim.store.create_bucket("b")
         ctx = sim.driver()
 
+        def handler(wctx, payload):
+            # one cycle at 1 Hz on one vCPU, 6/5 slower on a cold start
+            yield from wctx.compute(1)
+            return sim.loop.now
+
         def main():
             yield from sim.store.put_object(ctx, "b", "k", b"abc")
-            return (yield from sim.store.get_object(ctx, "b", "k"))
+            data = yield from sim.store.get_object(ctx, "b", "k")
+            worker = yield from sim.faas.invoke(ctx, FunctionSpec(memory_mib=1792), b"", handler)
+            return data, (yield worker)
 
-        assert run(sim, main()) == b"abc"
+        # the PUT and the GET take 1 us each
+        assert run(sim, main()) == (b"abc", 2 + 1_200_000)
 
 
 class TestNicShaper:
@@ -509,8 +526,8 @@ class TestFaaS:
         def main():
             spec = FunctionSpec(memory_mib=2048)
             for i in range(1000):
-                handle = yield from sim.faas.invoke(ctx, spec, b"", handler)
-                initiated.append(handle.initiated_at_us)
+                yield from sim.faas.invoke(ctx, spec, b"", handler)
+                initiated.append(sim.loop.now)
 
         run(sim, main())
         assert len(initiated) == 1000
@@ -530,15 +547,16 @@ class TestFaaS:
         ctx = sim.driver()
 
         def handler(wctx, payload):
+            started = sim.loop.now
             yield Sleep(0)
-            return sim.loop.now
+            return started
 
         def main():
-            handle = yield from sim.faas.invoke(ctx, FunctionSpec(), b"", handler)
-            yield handle.worker
-            return handle.started_at_us
+            worker = yield from sim.faas.invoke(ctx, FunctionSpec(), b"", handler)
+            initiated = sim.loop.now
+            return initiated, (yield worker)
 
-        assert run(sim, main()) == 36_000
+        assert run(sim, main()) == (0, 36_000)
 
     def test_zero_invocations_cost_nothing(self):
         sim = make_sim()
@@ -568,11 +586,10 @@ class TestFaaS:
             yield Sleep(100_000)
 
         def main():
-            handles = []
+            workers = []
             for _ in range(6):
-                h = yield from sim.faas.invoke(ctx, FunctionSpec(), b"", handler)
-                handles.append(h)
-            yield AllOf([h.worker for h in handles])
+                workers.append((yield from sim.faas.invoke(ctx, FunctionSpec(), b"", handler)))
+            yield AllOf(workers)
 
         run(sim, main())
         assert max(running) <= 2
@@ -586,8 +603,7 @@ class TestFaaS:
             yield Sleep(US_PER_S)  # one virtual second
 
         def main():
-            h = yield from sim.faas.invoke(ctx, FunctionSpec(memory_mib=2048), b"", handler)
-            yield h.worker
+            yield (yield from sim.faas.invoke(ctx, FunctionSpec(memory_mib=2048), b"", handler))
 
         run(sim, main())
         assert sim.ledger.worker_usd == Fraction("3.3e-5")
@@ -605,10 +621,8 @@ class TestFaaS:
 
             def main(lbl=label):
                 if lbl == "hot":  # warm the function first
-                    h = yield from sim.faas.invoke(ctx, FunctionSpec(memory_mib=1792), b"", handler)
-                    yield h.worker
-                h = yield from sim.faas.invoke(ctx, FunctionSpec(memory_mib=1792), b"", handler)
-                yield h.worker
+                    yield (yield from sim.faas.invoke(ctx, FunctionSpec(memory_mib=1792), b"", handler))
+                yield (yield from sim.faas.invoke(ctx, FunctionSpec(memory_mib=1792), b"", handler))
 
             run(sim, main())
         assert durations["cold"] == pytest.approx(durations["hot"] * 1.2, rel=1e-6)
