@@ -109,7 +109,6 @@ class BillingLedger:
             price = self.prices.request_price(category)
             out.write(f"{category},{bucket},{n},{format_usd(price)},{format_usd(n * price)}\n")
         for memory_mib, us in sorted(self.worker_us.items()):
-            rate = self.prices.worker_rate(memory_mib)
             gib_seconds = Fraction(memory_mib, 1024) * Fraction(us, US_PER_S)
             usd = self.prices.worker_usd_per_gib_second * gib_seconds
             out.write(

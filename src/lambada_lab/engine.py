@@ -76,9 +76,9 @@ def compile_program(exprs, index: dict[str, int]):
     `run_program`'s result, and ``outputs[i]`` is the slot holding
     ``exprs[i]`` (None stays None).  Structurally equal subexpressions share
     a slot, so each is computed once per batch.  Slots are keyed by cheap
-    tuples: ``("col", position)``, ``("const", type, repr)`` or ``(operator,
-    argument slots)``; type and repr keep apart constants that compare
-    equal, such as 1, 1.0 and True, or 0.0 and -0.0.
+    tuples: ``("col", position)``, ``("const", value)`` or ``(operator,
+    argument slots)``.  A constant must be an int: with INT64 columns every
+    value is then an int, and every sum is exact in any order.
     """
     slots: dict[tuple, int] = {}
     steps: list[tuple] = []
@@ -95,7 +95,9 @@ def _add_step(expr, index, slots: dict, steps: list) -> int:
         key = step = (_COLUMN, index[expr["col"]])
     elif "const" in expr:
         value = expr["const"]
-        key, step = (_CONSTANT, type(value), repr(value)), (_CONSTANT, value)
+        if type(value) is not int:
+            raise ValueError(f"constant {value!r} is not an int")
+        key = step = (_CONSTANT, value)
     else:
         op = expr["op"]
         fn = _all_of if op == "and" else _BINARY_OPS.get(op)
@@ -214,13 +216,9 @@ def run_fragment(sim, ctx, bucket, paths, program: FragmentProgram):
 def _fold_batch(groups: dict, batch, key_cols: list[int], steps, outputs: list) -> None:
     """Add one batch into per-group states (`None` in `outputs` is a count).
 
-    Rows are grouped first; then each state takes its group's values.  One
-    C-level ``sum()`` adds them, and its result is kept when it is an int:
-    integer addition is exact, so any order gives the oracle's sum.  Any
-    other result means a float took part, and float addition depends on its
-    order (``sum()`` also compensates floats on Python >= 3.12).  Such a
-    state is redone from its old value with one add at a time in row order,
-    so FLOAT64 aggregates match the row-at-a-time oracle bit for bit.
+    Rows are grouped first; then each state takes its group's values in one
+    C-level ``sum()``.  Every value is an int, and integer addition is
+    exact, so any order gives the oracle's sum.
     """
     n = len(batch[0])
     rows_of: dict[tuple, list[int]] = {}  # key -> its row indices, ascending
@@ -240,14 +238,8 @@ def _fold_batch(groups: dict, batch, key_cols: list[int], steps, outputs: list) 
         for a, col in enumerate(values):
             if col is None:
                 state[a] += len(rows)
-                continue
-            acc = state[a]
-            total = sum(map(col.__getitem__, rows), acc)
-            if type(total) is not int:
-                total = acc
-                for v in map(col.__getitem__, rows):
-                    total += v
-            state[a] = total
+            else:
+                state[a] = sum(map(col.__getitem__, rows), state[a])
 
 
 def merge_partials(partials):

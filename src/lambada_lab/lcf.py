@@ -2,7 +2,8 @@
 
 Files are laid out as ``[row group chunks]* [footer] [footer_len: u32 LE]
 [magic "LCF1"]``; everything is little-endian.  See FORMAT.md for a
-hex-annotated example.  Numeric-only: INT64 and FLOAT64 columns, no nulls.
+hex-annotated example.  Every column is INT64, with no nulls: a footer
+that names any other column type is corrupt.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ MAGIC = b"LCF1"
 FORMAT_VERSION = 1
 FOOTER_TAIL_WINDOW = 64 * 1024
 
-INT64 = 0
-FLOAT64 = 1
+INT64 = 0  # the only column type; the footer keeps a byte for it
 
 ENC_PLAIN = 0  # the only encoding; the footer keeps a byte for it
 
-_VALUE_PACK = {INT64: "<q", FLOAT64: "<d"}
-_PYTHON_TYPE = {INT64: int, FLOAT64: float}
 _LITTLE_ENDIAN_HOST = sys.byteorder == "little"
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
@@ -42,7 +40,7 @@ class Schema:
         if len(set(names)) != len(names):
             raise ValueError("duplicate column names")
         for _, typ in self.columns:
-            if typ not in (INT64, FLOAT64):
+            if typ != INT64:
                 raise ValueError(f"unknown column type {typ}")
 
     def index_of(self, name: str) -> int:
@@ -56,8 +54,8 @@ class Schema:
 
 
 class ColumnStats(NamedTuple):
-    min_value: int | float
-    max_value: int | float
+    min_value: int
+    max_value: int
 
 
 class ColumnChunkMeta(NamedTuple):
@@ -80,25 +78,23 @@ class FileFooter:
     version: int = FORMAT_VERSION
 
 
-def _check_values(name: str, values, typ) -> None:
-    """Raise TypeMismatch, naming the column, at the first value `typ` cannot hold."""
-    want = _PYTHON_TYPE[typ]
+def _check_values(name: str, values) -> None:
+    """Raise TypeMismatch, naming the column, at the first value INT64 cannot hold."""
     for value in values:
-        if not isinstance(value, want):
-            kind = "INT64" if typ == INT64 else "FLOAT64"
+        if not isinstance(value, int):
             raise errors.TypeMismatch(
-                f"column {name!r}: expected {want.__name__} for {kind} column, got {value!r}"
+                f"column {name!r}: expected int for INT64 column, got {value!r}"
             )
-        if typ == INT64 and not _INT64_MIN <= value <= _INT64_MAX:
+        if not _INT64_MIN <= value <= _INT64_MAX:
             raise errors.TypeMismatch(f"column {name!r}: {value!r} is outside the INT64 range")
 
 
-def encode_chunk(values, typ: int) -> bytes:
+def encode_chunk(values) -> bytes:
     """Plain encoding: the values' little-endian bytes, back to back."""
-    return struct.pack(f"<{len(values)}{_VALUE_PACK[typ][1]}", *values)
+    return struct.pack(f"<{len(values)}q", *values)
 
 
-def decode_chunk(meta: ColumnChunkMeta, data: bytes, typ: int, row_count: int) -> list:
+def decode_chunk(meta: ColumnChunkMeta, data: bytes, row_count: int) -> list:
     """Inverse of `encode_chunk`; yields exactly `row_count` values."""
     if len(data) != meta.compressed_len:
         raise errors.CorruptChunk(
@@ -108,12 +104,11 @@ def decode_chunk(meta: ColumnChunkMeta, data: bytes, typ: int, row_count: int) -
         raise errors.CorruptChunk(f"unknown encoding id {meta.encoding}")
     if len(data) != 8 * row_count:
         raise errors.CorruptChunk("plain chunk length does not match row count")
-    code = _VALUE_PACK[typ][1]
     if _LITTLE_ENDIAN_HOST:
         # a cast view decodes without a temporary copy of the chunk;
         # such copies raised the process's peak memory over many scans
-        return memoryview(data).cast(code).tolist()
-    return list(struct.unpack(f"<{row_count}{code}", data))
+        return memoryview(data).cast("q").tolist()
+    return list(struct.unpack(f"<{row_count}q", data))
 
 
 def write_file(schema: Schema, row_groups) -> bytes:
@@ -133,15 +128,15 @@ def write_file(schema: Schema, row_groups) -> bytes:
         if row_count == 0:
             raise errors.EmptyRowGroup("row groups must be non-empty")
         chunks = []
-        for (name, typ), values in zip(schema.columns, table):
+        for (name, _), values in zip(schema.columns, table):
             if len(values) != row_count:
                 raise errors.TypeMismatch("ragged row group")
-            if not all(map(isinstance, values, repeat(_PYTHON_TYPE[typ]))):
-                _check_values(name, values, typ)
+            if not all(map(isinstance, values, repeat(int))):
+                _check_values(name, values)
             stats = ColumnStats(min(values), max(values))
-            if typ == INT64 and not _INT64_MIN <= stats.min_value <= stats.max_value <= _INT64_MAX:
-                _check_values(name, values, typ)
-            encoded = encode_chunk(values, typ)
+            if not _INT64_MIN <= stats.min_value <= stats.max_value <= _INT64_MAX:
+                _check_values(name, values)
+            encoded = encode_chunk(values)
             chunks.append(
                 ColumnChunkMeta(
                     offset=len(body),
@@ -163,12 +158,10 @@ _GROUP_COUNT = struct.Struct("<I")
 
 
 @functools.lru_cache(maxsize=64)
-def _row_group_struct(schema: Schema) -> struct.Struct:
+def _row_group_struct(ncols: int) -> struct.Struct:
     """One row group's footer entry: its row count, then per column the
     chunk's offset, lengths and encoding, and its min and max."""
-    return struct.Struct(
-        "<Q" + "".join("QQQB" + 2 * _VALUE_PACK[typ][1] for _, typ in schema.columns)
-    )
+    return struct.Struct("<Q" + "QQQBqq" * ncols)
 
 
 def encode_footer(footer: FileFooter) -> bytes:
@@ -177,7 +170,7 @@ def encode_footer(footer: FileFooter) -> bytes:
         raw = name.encode("utf-8")
         out += _NAME_LEN.pack(len(raw)) + raw + bytes((typ,))
     out += _GROUP_COUNT.pack(len(footer.row_groups))
-    entry = _row_group_struct(footer.schema)
+    entry = _row_group_struct(len(footer.schema))
     for rg in footer.row_groups:
         fields = [rg.row_count]
         for offset, clen, ulen, encoding, (min_v, max_v) in rg.chunks:
@@ -217,7 +210,7 @@ def decode_footer(raw: bytes, data_end: int | None = None) -> FileFooter:
         raise errors.CorruptFooter("footer truncated")
     (ngroups,) = _GROUP_COUNT.unpack_from(raw, pos)
     pos += _GROUP_COUNT.size
-    entry = _row_group_struct(schema)
+    entry = _row_group_struct(ncols)
     size = ngroups * entry.size
     if pos + size > len(raw):
         raise errors.CorruptFooter("footer truncated")
@@ -294,7 +287,7 @@ def read_table(data: bytes) -> list[list]:
     footer = read_footer(data)
     columns: list[list] = [[] for _ in footer.schema.columns]
     for rg in footer.row_groups:
-        for i, ((_, typ), chunk) in enumerate(zip(footer.schema.columns, rg.chunks)):
+        for column, chunk in zip(columns, rg.chunks):
             raw = data[chunk.offset : chunk.offset + chunk.compressed_len]
-            columns[i].extend(decode_chunk(chunk, raw, typ, rg.row_count))
+            column.extend(decode_chunk(chunk, raw, rg.row_count))
     return columns

@@ -10,7 +10,7 @@ when the window's chunks leave connections idle, since splitting inflates
 the request bill.
 
 Each surviving row group is planned once, as one list of reads. A column
-that only the filter reads is dropped from a group whose INT64 stats prove
+that only the filter reads is dropped from a group whose stats prove
 every value inside its intervals: the rows need no check and the chunk is
 not bought. It still counts toward the split budget. A read that lies
 wholly inside the 64 KiB tail, fetched with the footer, is cut from those
@@ -62,16 +62,8 @@ def prune_row_groups(footer: lcf.FileFooter, predicates: PredicateSet) -> list[i
 
 
 def _stats_prove(schema: lcf.Schema, rg: lcf.RowGroupMeta, name: str, lo, hi) -> bool:
-    """True when every value of a row group's column provably lies in [lo, hi].
-
-    Only INT64 stats are trusted: ``min()``/``max()`` skip a NaN that is not
-    a FLOAT64 chunk's first value, so its stats can sit inside an interval
-    that the NaN row fails.
-    """
-    ci = schema.index_of(name)
-    stats = rg.chunks[ci].stats
-    if schema.columns[ci][1] != lcf.INT64:
-        return False
+    """True when every value of a row group's column provably lies in [lo, hi]."""
+    stats = rg.chunks[schema.index_of(name)].stats
     return lo <= stats.min_value and stats.max_value <= hi
 
 
@@ -239,9 +231,7 @@ def execute_scan(
                 ci = footer.schema.index_of(name)
                 raw = b"".join(pieces)
                 total_encoded += len(raw)
-                decoded[name] = lcf.decode_chunk(
-                    rg.chunks[ci], raw, footer.schema.columns[ci][1], rg.row_count
-                )
+                decoded[name] = lcf.decode_chunk(rg.chunks[ci], raw, rg.row_count)
             cycles = sim.cfg.decode_cycles_per_byte * total_encoded
             if cycles:
                 yield from ctx.compute(cycles)

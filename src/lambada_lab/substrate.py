@@ -481,7 +481,8 @@ class FaaSService:
 # A limit below 1 admits nothing, so a run waits forever; a clock below
 # 1 Hz or a rate of 0 divides by zero when a host computes or is made; a
 # negative time cannot be slept, so a run fails at its first use; a negative
-# retry budget or decode cost means nothing
+# retry budget or decode cost means nothing; a negative payload or key limit
+# fails every invocation or every key
 AT_LEAST_ONE_CONFIG_KEYS = (
     "concurrency_limit",
     "bucket_read_limit_per_s",
@@ -496,6 +497,8 @@ NON_NEGATIVE_CONFIG_KEYS = (
     "throttle_retry_delay_ms",
     "throttle_max_retries",
     "decode_cycles_per_byte",
+    "max_payload_bytes",
+    "max_key_bytes",
 )
 
 

@@ -11,7 +11,7 @@ from lambada_lab.scan import PredicateSet, execute_scan
 from lambada_lab.substrate import CloudSim
 
 
-SCHEMA_XY = lcf.Schema((("x", lcf.INT64), ("y", lcf.FLOAT64)))
+SCHEMA_XY = lcf.Schema((("x", lcf.INT64), ("y", lcf.INT64)))
 
 
 def golden_single_column_bytes():
@@ -46,17 +46,17 @@ class TestGolden:
 class TestRoundTrip:
     def test_two_columns_two_groups(self):
         groups = [
-            [[1, 2, 3], [1.0, 2.5, -3.0]],
-            [[4, 5], [0.0, 9.5]],
+            [[1, 2, 3], [10, 25, -30]],
+            [[4, 5], [0, 95]],
         ]
         data = lcf.write_file(SCHEMA_XY, groups)
-        assert lcf.read_table(data) == [[1, 2, 3, 4, 5], [1.0, 2.5, -3.0, 0.0, 9.5]]
+        assert lcf.read_table(data) == [[1, 2, 3, 4, 5], [10, 25, -30, 0, 95]]
 
     def test_footer_stats(self):
-        data = lcf.write_file(SCHEMA_XY, [[[5, -2, 9], [0.5, 0.5, 0.5]]])
+        data = lcf.write_file(SCHEMA_XY, [[[5, -2, 9], [7, 7, 7]]])
         footer = lcf.read_footer(data)
         assert footer.row_groups[0].chunks[0].stats == lcf.ColumnStats(-2, 9)
-        assert footer.row_groups[0].chunks[1].stats == lcf.ColumnStats(0.5, 0.5)
+        assert footer.row_groups[0].chunks[1].stats == lcf.ColumnStats(7, 7)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -80,40 +80,16 @@ class TestRoundTrip:
 class TestPlainCodec:
     """The plain encoding is the values' little-endian bytes, back to back."""
 
-    def _check(self, values, typ):
-        fmt = "<q" if typ == lcf.INT64 else "<d"
-        encoded = lcf.encode_chunk(values, typ)
-        assert encoded == b"".join(struct.pack(fmt, v) for v in values)
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=40))
+    def test_int64_matches_struct(self, values):
+        encoded = lcf.encode_chunk(values)
+        assert encoded == b"".join(struct.pack("<q", v) for v in values)
         meta = lcf.ColumnChunkMeta(0, len(encoded), len(encoded), lcf.ENC_PLAIN,
                                    lcf.ColumnStats(0, 0))
         for little_endian_host in (True, False):  # both decode paths
             with mock.patch.object(lcf, "_LITTLE_ENDIAN_HOST", little_endian_host):
-                decoded = lcf.decode_chunk(meta, encoded, typ, len(values))
-            assert [struct.pack(fmt, v) for v in decoded] == [
-                struct.pack(fmt, v) for v in values
-            ]
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=40))
-    def test_int64_matches_struct(self, values):
-        self._check(values, lcf.INT64)
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(
-                st.floats(allow_nan=True, allow_infinity=True),
-                st.sampled_from([-0.0, float("inf"), float("-inf")]),
-                # any bit pattern, NaN payloads included
-                st.integers(min_value=0, max_value=2**64 - 1).map(
-                    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]
-                ),
-            ),
-            max_size=40,
-        )
-    )
-    def test_float64_matches_struct(self, values):
-        self._check(values, lcf.FLOAT64)
+                assert lcf.decode_chunk(meta, encoded, len(values)) == values
 
 
 class TestValidation:
@@ -146,21 +122,21 @@ class TestValidation:
         footer = lcf.read_footer(data)
         chunk = footer.row_groups[0].chunks[0]
         with pytest.raises(errors.CorruptChunk):
-            lcf.decode_chunk(chunk, b"\x00" * 7, lcf.INT64, 2)
+            lcf.decode_chunk(chunk, b"\x00" * 7, 2)
 
     def test_type_mismatch_on_write(self):
         with pytest.raises(errors.TypeMismatch):
-            lcf.write_file(SCHEMA_XY, [[[1], [2]]])
+            lcf.write_file(SCHEMA_XY, [[[1], [2.0]]])
 
     @pytest.mark.parametrize(
         "table, message",
         [
-            ([[1, 2], [1.0, 2]], "expected float for FLOAT64 column, got 2"),
-            ([[1, 2.0], [1.0, 2.0]], "expected int for INT64 column, got 2.0"),
+            ([[1, 1.5], [1, 2]], "column 'x': expected int for INT64 column, got 1.5"),
+            ([[1, 2.0], [1, 2]], "expected int for INT64 column, got 2.0"),
         ],
     )
     def test_type_mismatch_names_the_value(self, table, message):
-        # struct.pack('<d', 2) would take the int silently; the writer must not
+        # struct.pack('<q', 2.0) raises struct.error; the writer names the column
         with pytest.raises(errors.TypeMismatch, match=message):
             lcf.write_file(SCHEMA_XY, [table])
 
@@ -178,7 +154,7 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "table, column",
-        [([[1, 2.5], [1.0, 2.0]], "x"), ([[1, 2], [1.0, 2]], "y")],
+        [([[1, 2.5], [1, 2]], "x"), ([[1, 2], [1, 2.0]], "y")],
     )
     def test_type_mismatch_names_the_column(self, table, column):
         with pytest.raises(errors.TypeMismatch, match=f"column '{column}'"):
@@ -216,7 +192,7 @@ class TestUnknownEncoding:
     def test_decode_chunk_rejects_it(self, encoding):
         meta = lcf.ColumnChunkMeta(0, 16, 16, encoding, lcf.ColumnStats(1, 2))
         with pytest.raises(errors.CorruptChunk, match=f"unknown encoding id {encoding}"):
-            lcf.decode_chunk(meta, struct.pack("<qq", 1, 2), lcf.INT64, 2)
+            lcf.decode_chunk(meta, struct.pack("<qq", 1, 2), 2)
 
     @pytest.mark.parametrize("encoding", [1, 255])
     def test_read_table_rejects_it(self, encoding):
@@ -274,10 +250,9 @@ def naive_decode_footer(raw: bytes) -> lcf.FileFooter:
     for _ in range(take("<I")):
         row_count = take("<Q")
         chunks = []
-        for _, typ in schema.columns:
+        for _ in schema.columns:
             offset, clen, ulen, encoding = take("<QQQB")
-            pack = "<q" if typ == lcf.INT64 else "<d"
-            min_v, max_v = take(pack), take(pack)
+            min_v, max_v = take("<q"), take("<q")
             if min_v > max_v:
                 raise errors.CorruptFooter("chunk stats have min > max")
             if offset < prev_end:
@@ -296,26 +271,19 @@ INT64_STATS = st.one_of(
     st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]),
     st.integers(min_value=-(2**63), max_value=2**63 - 1),
 )
-FLOAT64_STATS = st.one_of(
-    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0]),
-    st.floats(allow_nan=True, allow_infinity=True),
-)
 U64 = st.integers(min_value=0, max_value=2**40)
 
 
 @st.composite
 def footers(draw):
-    """A valid footer: 1-6 columns, 1-5 row groups, stats at the type's edges."""
+    """A valid footer: 1-6 columns, 1-5 row groups, stats at INT64's edges."""
     names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=6, unique=True))
-    types = [draw(st.sampled_from([lcf.INT64, lcf.FLOAT64])) for _ in names]
     groups = []
     end = 0
     for _ in range(draw(st.integers(1, 5))):
         chunks = []
-        for typ in types:
-            a, b = draw(st.tuples(*[INT64_STATS if typ == lcf.INT64 else FLOAT64_STATS] * 2))
-            if a > b:  # a NaN compares false either way and stays where it is
-                a, b = b, a
+        for _ in names:
+            a, b = sorted(draw(st.tuples(INT64_STATS, INT64_STATS)))
             offset = end + draw(st.integers(0, 3))
             clen = draw(st.integers(1, 2**20))
             end = offset + clen
@@ -325,23 +293,8 @@ def footers(draw):
                 )
             )
         groups.append(lcf.RowGroupMeta(draw(U64), tuple(chunks)))
-    return lcf.FileFooter(lcf.Schema(tuple(zip(names, types))), tuple(groups))
-
-
-def footer_bits(footer: lcf.FileFooter):
-    """The footer with each float replaced by its bits, so NaN equals itself."""
-
-    def bits(v):
-        return struct.pack("<d", v) if isinstance(v, float) else v
-
-    return footer.schema, footer.version, [
-        (rg.row_count, [
-            (c.offset, c.compressed_len, c.uncompressed_len, c.encoding,
-             type(c.stats.min_value), bits(c.stats.min_value), bits(c.stats.max_value))
-            for c in rg.chunks
-        ])
-        for rg in footer.row_groups
-    ]
+    schema = lcf.Schema(tuple((name, lcf.INT64) for name in names))
+    return lcf.FileFooter(schema, tuple(groups))
 
 
 def both_reject(raw: bytes) -> None:
@@ -359,8 +312,7 @@ class TestFooterDecoder:
     def test_valid_footers_decode_equal(self, footer):
         raw = lcf.encode_footer(footer)
         decoded = lcf.decode_footer(raw)
-        assert footer_bits(decoded) == footer_bits(naive_decode_footer(raw))
-        assert footer_bits(decoded) == footer_bits(footer)
+        assert decoded == naive_decode_footer(raw) == footer
         assert all(isinstance(rg, lcf.RowGroupMeta) for rg in decoded.row_groups)
 
     @settings(max_examples=30, deadline=None)
@@ -376,9 +328,8 @@ class TestFooterDecoder:
     def test_min_above_max_is_rejected(self, footer, data):
         g = data.draw(st.integers(0, len(footer.row_groups) - 1))
         c = data.draw(st.integers(0, len(footer.schema) - 1))
-        low, high = (1, 2) if footer.schema.columns[c][1] == lcf.INT64 else (-0.5, 0.0)
         rg = footer.row_groups[g]
-        chunk = rg.chunks[c]._replace(stats=lcf.ColumnStats(high, low))
+        chunk = rg.chunks[c]._replace(stats=lcf.ColumnStats(2, 1))
         chunks = rg.chunks[:c] + (chunk,) + rg.chunks[c + 1 :]
         groups = footer.row_groups[:g] + (rg._replace(chunks=chunks),) + footer.row_groups[g + 1 :]
         both_reject(lcf.encode_footer(lcf.FileFooter(footer.schema, groups)))
@@ -405,7 +356,8 @@ class TestFooterDecoder:
         raw = lcf.encode_footer(footer)
         both_reject(struct.pack("<H", version) + raw[2:])
 
-    @pytest.mark.parametrize("columns", [(), (("x", 7),), (("x", 0), ("x", 1))])
+    # type 1 was FLOAT64; INT64 is the only column type
+    @pytest.mark.parametrize("columns", [(), (("x", 7),), (("x", 0), ("x", 1)), (("x", 1),)])
     def test_bad_schema_is_rejected(self, columns):
         raw = struct.pack("<HH", lcf.FORMAT_VERSION, len(columns))
         for name, typ in columns:
@@ -432,7 +384,7 @@ class TestRangedFooterRead:
         return sim.loop.run_task(main())
 
     def test_small_footer_needs_one_request(self):
-        data = lcf.write_file(SCHEMA_XY, [[[1, 2], [3.0, 4.0]]])
+        data = lcf.write_file(SCHEMA_XY, [[[1, 2], [3, 4]]])
         sim = self._seeded_sim(data)
         footer, tail, tail_start = self._read(sim)
         assert sim.ledger.count("read") == 1

@@ -207,19 +207,6 @@ class TestExecute:
         assert batches == [[list(range(rows))] * 3]
         assert sim.ledger.count(READ) == 1 + 3
 
-    def test_float_stats_inside_interval_still_filter_nan(self):
-        # min()/max() skip a NaN that is not first: the stats read [1.0, 2.0]
-        schema = lcf.Schema((("f", lcf.FLOAT64), ("b", lcf.INT64)))
-        data = clear_of_tail(lcf.write_file(schema, [[[1.0, float("nan"), 2.0], [10, 20, 30]]]))
-        assert lcf.read_footer(data).row_groups[0].chunks[0].stats == lcf.ColumnStats(1.0, 2.0)
-        sim = seeded_sim({"f.lcf": data})
-        preds = scan.PredicateSet((("f", 0.0, 5.0),), ("b",))
-        batches, report = run_scan(sim, ["f.lcf"], preds)
-        assert batches == [[[10, 30]]]
-        assert report.rows == 2
-        # FLOAT64 stats prove nothing: the filter-only f is always fetched
-        assert sim.ledger.count(READ) == 1 + 2
-
     def test_int_stats_skip_only_groups_wholly_inside(self):
         groups = [
             [[3, 4], [1, 2]],  # both columns inside: no row check

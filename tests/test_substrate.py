@@ -335,6 +335,8 @@ class TestConfigChecks:
             ("worker_invoke_rate_per_s", Fraction(0)),
             ("worker_invoke_rate_per_s", Fraction(-80)),
             ("decode_cycles_per_byte", Fraction(-1, 3)),
+            ("max_payload_bytes", -1),
+            ("max_key_bytes", -1),
         ],
     )
     def test_config_that_can_only_hang_or_fail_late_is_rejected(self, field, value):
