@@ -94,8 +94,12 @@ def encode_chunk(values) -> bytes:
     return struct.pack(f"<{len(values)}q", *values)
 
 
-def decode_chunk(meta: ColumnChunkMeta, data: bytes, row_count: int) -> list:
-    """Inverse of `encode_chunk`; yields exactly `row_count` values."""
+def decode_chunk(
+    meta: ColumnChunkMeta, data: bytes, row_count: int, rows: tuple[int, int] | None = None
+) -> list:
+    """Inverse of `encode_chunk`; yields exactly `row_count` values, or
+    with `rows=(a, b)` only rows a to b - 1 of them.  The whole chunk is
+    checked either way."""
     if len(data) != meta.compressed_len:
         raise errors.CorruptChunk(
             f"chunk has {len(data)} bytes, metadata says {meta.compressed_len}"
@@ -104,11 +108,12 @@ def decode_chunk(meta: ColumnChunkMeta, data: bytes, row_count: int) -> list:
         raise errors.CorruptChunk(f"unknown encoding id {meta.encoding}")
     if len(data) != 8 * row_count:
         raise errors.CorruptChunk("plain chunk length does not match row count")
+    a, b = (0, row_count) if rows is None else rows
     if _LITTLE_ENDIAN_HOST:
         # a cast view decodes without a temporary copy of the chunk;
         # such copies raised the process's peak memory over many scans
-        return memoryview(data).cast("q").tolist()
-    return list(struct.unpack(f"<{row_count}q", data))
+        return memoryview(data).cast("q")[a:b].tolist()
+    return list(struct.unpack_from(f"<{b - a}q", data, 8 * a))
 
 
 def write_file(schema: Schema, row_groups) -> bytes:
@@ -164,6 +169,27 @@ def _row_group_struct(ncols: int) -> struct.Struct:
     return struct.Struct("<Q" + "QQQBqq" * ncols)
 
 
+@functools.lru_cache(maxsize=64)
+def _decode_schema(head: bytes) -> Schema:
+    """The schema of a footer whose bytes up to its row-group count are
+    `head`; the files of one table share it, so it is parsed once."""
+    columns = []
+    pos = _FOOTER_HEAD.size
+    while pos < len(head):
+        (name_len,) = _NAME_LEN.unpack_from(head, pos)
+        end = pos + 2 + name_len
+        try:
+            name = head[pos + 2 : end].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise errors.CorruptFooter(f"column name is not UTF-8: {err}")
+        columns.append((name, head[end]))
+        pos = end + 1
+    try:
+        return Schema(tuple(columns))
+    except ValueError as err:
+        raise errors.CorruptFooter(str(err))
+
+
 def encode_footer(footer: FileFooter) -> bytes:
     out = bytearray(_FOOTER_HEAD.pack(footer.version, len(footer.schema)))
     for name, typ in footer.schema.columns:
@@ -187,25 +213,16 @@ def decode_footer(raw: bytes, data_end: int | None = None) -> FileFooter:
     version, ncols = _FOOTER_HEAD.unpack_from(raw)
     if version != FORMAT_VERSION:
         raise errors.CorruptFooter(f"unsupported format version {version}")
+    # each column is its name's length, its name and its type byte
     pos = _FOOTER_HEAD.size
-    columns = []
     for _ in range(ncols):
         if pos + 2 > len(raw):
             raise errors.CorruptFooter("footer truncated")
         (name_len,) = _NAME_LEN.unpack_from(raw, pos)
-        end = pos + 2 + name_len
-        if end + 1 > len(raw):
+        pos += 3 + name_len
+        if pos > len(raw):
             raise errors.CorruptFooter("footer truncated")
-        try:
-            name = raw[pos + 2 : end].decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise errors.CorruptFooter(f"column name is not UTF-8: {err}")
-        columns.append((name, raw[end]))
-        pos = end + 1
-    try:
-        schema = Schema(tuple(columns))
-    except ValueError as err:
-        raise errors.CorruptFooter(str(err))
+    schema = _decode_schema(raw[:pos])
     if pos + _GROUP_COUNT.size > len(raw):
         raise errors.CorruptFooter("footer truncated")
     (ngroups,) = _GROUP_COUNT.unpack_from(raw, pos)

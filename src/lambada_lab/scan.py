@@ -15,10 +15,15 @@ every value inside its intervals: the rows need no check and the chunk is
 not bought. It still counts toward the split budget. A read that lies
 wholly inside the 64 KiB tail, fetched with the footer, is cut from those
 bytes instead of bought again.
+
+A group's rows are chosen before its columns are decoded: when the first
+row check keeps one proven run of rows, every other column is decoded over
+that run only.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 
@@ -34,7 +39,7 @@ ROW_GROUP_PREFETCH = 2  # row groups in flight
 class PredicateSet:
     """Conjunction of closed per-column intervals plus a projection."""
 
-    intervals: tuple[tuple[str, int | float, int | float], ...]
+    intervals: tuple[tuple[str, int, int], ...]
     projection: tuple[str, ...]
 
     def __post_init__(self):
@@ -67,19 +72,59 @@ def _stats_prove(schema: lcf.Schema, rg: lcf.RowGroupMeta, name: str, lo, hi) ->
     return lo <= stats.min_value and stats.max_value <= hi
 
 
-def _filter_batch(decoded: dict, projection, checks) -> list[list]:
-    """Projected columns of the rows inside every (column, lo, hi) check.
+def _run_of(values: list, lo: int, hi: int) -> tuple[int, int] | None:
+    """(a, b) when the values inside [lo, hi] are exactly values[a:b], else None.
 
-    The first check builds a selection vector of row indices and each further
-    check narrows it; with no checks the decoded columns are the batch.
+    Bisection finds the run a sorted column would have; C-level min/max
+    passes then prove it on `values` as they are, sorted or not.
     """
+    a = bisect_left(values, lo)
+    b = bisect_right(values, hi, a)
+    run = values[a:b]
+    if (
+        lo <= min(run, default=lo)
+        and max(run, default=hi) <= hi
+        and max(values[:a], default=lo - 1) < lo
+        and min(values[b:], default=hi + 1) > hi
+    ):
+        return a, b
+    return None
+
+
+def _filter_group(rg: lcf.RowGroupMeta, chunks: dict, projection, checks) -> list[list]:
+    """Projected columns of a row group's rows inside every (column, lo, hi) check.
+
+    `chunks` maps each needed column to (chunk metadata, bytes).  The first
+    check's column is decoded whole.  When its rows inside the interval are
+    one run, every other column is decoded over that run only; otherwise
+    the first check builds a selection vector of row indices and every
+    column is decoded whole.  Each further check narrows the selection.
+    """
+    window = None
+    decoded = {}
+
+    def column(name):
+        if name not in decoded:
+            meta, raw = chunks[name]
+            decoded[name] = lcf.decode_chunk(meta, raw, rg.row_count, window)
+        return decoded[name]
+
     if not checks:
-        return [decoded[c] for c in projection]
-    (values, lo, hi), rest = checks[0], checks[1:]
-    selected = [i for i, v in enumerate(values) if lo <= v <= hi]
-    for values, lo, hi in rest:
+        return [column(c) for c in projection]
+    (name, lo, hi), rest = checks[0], checks[1:]
+    values = column(name)
+    window = _run_of(values, lo, hi)
+    if window is None:
+        selected = [i for i, v in enumerate(values) if lo <= v <= hi]
+    else:
+        decoded[name] = values[window[0] : window[1]]
+        selected = range(window[1] - window[0])
+    for name, lo, hi in rest:
+        values = column(name)
         selected = [i for i in selected if lo <= values[i] <= hi]
-    return [list(map(decoded[c].__getitem__, selected)) for c in projection]
+    if isinstance(selected, range):
+        return [column(c) for c in projection]
+    return [list(map(column(c).__getitem__, selected)) for c in projection]
 
 
 def plan_downloads(
@@ -225,19 +270,14 @@ def execute_scan(
                     report.bytes += len(part)
                 col_bytes.setdefault(name, []).append(part)
             launch()
-            decoded = {}
-            total_encoded = 0
-            for name, pieces in col_bytes.items():
-                ci = footer.schema.index_of(name)
-                raw = b"".join(pieces)
-                total_encoded += len(raw)
-                decoded[name] = lcf.decode_chunk(rg.chunks[ci], raw, rg.row_count)
-            cycles = sim.cfg.decode_cycles_per_byte * total_encoded
+            chunks = {
+                name: (rg.chunks[footer.schema.index_of(name)], b"".join(pieces))
+                for name, pieces in col_bytes.items()
+            }
+            batch = _filter_group(rg, chunks, projection, checks)
+            cycles = sim.cfg.decode_cycles_per_byte * sum(len(raw) for _, raw in chunks.values())
             if cycles:
                 yield from ctx.compute(cycles)
-            batch = _filter_batch(
-                decoded, projection, [(decoded[name], lo, hi) for name, lo, hi in checks]
-            )
             report.rows += len(batch[0])
             batches.append(batch)
 

@@ -81,15 +81,20 @@ class TestPlainCodec:
     """The plain encoding is the values' little-endian bytes, back to back."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=40))
-    def test_int64_matches_struct(self, values):
+    @given(
+        st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=40), st.data()
+    )
+    def test_int64_matches_struct(self, values, data):
         encoded = lcf.encode_chunk(values)
         assert encoded == b"".join(struct.pack("<q", v) for v in values)
         meta = lcf.ColumnChunkMeta(0, len(encoded), len(encoded), lcf.ENC_PLAIN,
                                    lcf.ColumnStats(0, 0))
+        a = data.draw(st.integers(0, len(values)))
+        b = data.draw(st.integers(a, len(values)))
         for little_endian_host in (True, False):  # both decode paths
             with mock.patch.object(lcf, "_LITTLE_ENDIAN_HOST", little_endian_host):
                 assert lcf.decode_chunk(meta, encoded, len(values)) == values
+                assert lcf.decode_chunk(meta, encoded, len(values), (a, b)) == values[a:b]
 
 
 class TestValidation:
@@ -368,6 +373,43 @@ class TestFooterDecoder:
         raw = struct.pack("<HHH", lcf.FORMAT_VERSION, 1, 1) + b"\xff" + struct.pack("<BI", 0, 0)
         with pytest.raises(errors.CorruptFooter, match="not UTF-8"):
             lcf.decode_footer(raw)
+
+    # a parsed schema is cached by its bytes: a rejected one must be
+    # rejected again, not remembered
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            ([struct.pack("<H", 50) + b"ab"], "truncated"),
+            ([struct.pack("<H", 1) + b"\xff\x00"], "not UTF-8"),
+            ([struct.pack("<H", 1) + b"x\x00"] * 2, "duplicate"),
+            ([struct.pack("<H", 1) + b"x\x01"], "unknown column type 1"),
+        ],
+        ids=["truncated-name", "not-utf8", "duplicate-names", "type-byte-1"],
+    )
+    def test_bad_schema_is_rejected_on_every_decode(self, columns, message):
+        raw = struct.pack("<HH", lcf.FORMAT_VERSION, len(columns))
+        raw += b"".join(columns) + struct.pack("<I", 0)
+        for _ in range(2):
+            with pytest.raises(errors.CorruptFooter, match=message):
+                lcf.decode_footer(raw)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("a", "b"), ("a", "c")),
+            (("a", "b"), ("b", "a")),
+            (("a",), ("a", "b")),
+            (("ab",), ("a", "b")),
+        ],
+    )
+    def test_footers_with_different_schemas_decode_to_different_schemas(self, first, second):
+        decoded = []
+        for names in (first, second, first):
+            schema = lcf.Schema(tuple((name, lcf.INT64) for name in names))
+            footer = lcf.FileFooter(schema, ())
+            assert lcf.decode_footer(lcf.encode_footer(footer)) == footer
+            decoded.append(lcf.decode_footer(lcf.encode_footer(footer)).schema)
+        assert decoded[0] != decoded[1] and decoded[0] == decoded[2]
 
 
 class TestRangedFooterRead:

@@ -318,6 +318,33 @@ class TestExecute:
         _, slow_report = run_scan(slow, ["f.lcf"], preds)
         assert slow_report.duration_us > fast_report.duration_us
 
+    def test_wrong_length_projection_chunk_raises_on_the_run_path(self):
+        # b's chunk holds 7 values for 8 rows; the check on a keeps rows 2
+        # and 3, so the run path would decode only b's rows 2 and 3
+        schema = lcf.Schema((("a", lcf.INT64), ("b", lcf.INT64)))
+        data = lcf.write_file(schema, [[list(range(8)), list(range(10, 18))]])
+        footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
+        footer = lcf.read_footer(data)
+        rg = footer.row_groups[0]
+        short = rg.chunks[1]._replace(compressed_len=56)
+        raw = lcf.encode_footer(
+            lcf.FileFooter(schema, (rg._replace(chunks=(rg.chunks[0], short)),))
+        )
+        bad = clear_of_tail(data[:footer_off] + raw + data[footer_off + footer_len :])
+        sim = seeded_sim({"f.lcf": bad})
+        windows = []
+        decode_chunk = lcf.decode_chunk
+
+        def recording(meta, data, row_count, rows=None):
+            windows.append(rows)
+            return decode_chunk(meta, data, row_count, rows)
+
+        preds = scan.PredicateSet((("a", 2, 3),), ("b",))
+        with mock.patch.object(lcf, "decode_chunk", recording):
+            with pytest.raises(errors.CorruptChunk, match="does not match row count"):
+                run_scan(sim, ["f.lcf"], preds)
+        assert windows == [None, (2, 4)]
+
     @settings(max_examples=25, deadline=None)
     @given(
         groups=st.lists(
@@ -338,6 +365,94 @@ class TestExecute:
             return sorted(zip(*[sum((b[i] for b in batches), []) for i in range(2)]))
 
         assert rows(True) == rows(False)
+
+
+def per_row_filter(table, names, projection, checks):
+    """Oracle: the projected values of each row inside every (column, lo, hi)."""
+    col = dict(zip(names, table))
+    rows = [
+        r for r in range(len(table[0])) if all(lo <= col[n][r] <= hi for n, lo, hi in checks)
+    ]
+    return [[col[c][r] for r in rows] for c in projection]
+
+
+def one_run(values, lo, hi):
+    """(a, b) when the rows below lo, inside [lo, hi] and above hi come in
+    that order, so the rows inside are exactly values[a:b]; else None."""
+    side = [0 if v < lo else 1 if v <= hi else 2 for v in values]
+    if side != sorted(side):
+        return None
+    a = side.count(0)
+    return a, a + side.count(1)
+
+
+INT64_EDGES = st.sampled_from([-(2**63), 2**63 - 1])
+
+
+@st.composite
+def shaped_column(draw, n):
+    """n INT64 values: sorted, reverse-sorted, constant, full of duplicates or random."""
+    shape = draw(st.sampled_from(["sorted", "reversed", "constant", "duplicates", "random"]))
+    if shape == "constant":
+        return [draw(st.integers(-20, 20) | INT64_EDGES)] * n
+    if shape == "duplicates":
+        values = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        return draw(st.sampled_from([sorted, lambda v: v]))(values)
+    values = draw(st.lists(st.integers(-20, 20) | INT64_EDGES, min_size=n, max_size=n))
+    if shape == "sorted":
+        return sorted(values)
+    if shape == "reversed":
+        return sorted(values, reverse=True)
+    return values
+
+
+class TestRunSelection:
+    """A group's rows are selected from the first check's column by one
+    run when bisection's run is proven, by a per-row filter otherwise."""
+
+    NAMES = ("a", "b", "c")
+    BOUND = st.integers(-25, 25) | INT64_EDGES
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_selection_equals_per_row_filter(self, data):
+        n = data.draw(st.integers(1, 40))
+        table = [data.draw(shaped_column(n)) for _ in self.NAMES]
+        checks = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            lo, hi = sorted((data.draw(self.BOUND), data.draw(self.BOUND)))
+            checks.append((data.draw(st.sampled_from(self.NAMES)), lo, hi))
+        projection = tuple(
+            data.draw(st.lists(st.sampled_from(self.NAMES), min_size=1, max_size=3, unique=True))
+        )
+        raw, _ = make_file([table], self.NAMES)
+        rg = lcf.read_footer(raw).row_groups[0]
+        chunks = {
+            name: (meta, raw[meta.offset : meta.offset + meta.compressed_len])
+            for name, meta in zip(self.NAMES, rg.chunks)
+        }
+        name_of = {meta: name for name, meta in zip(self.NAMES, rg.chunks)}
+        decodes = []  # (column, values decoded) per decode_chunk call
+        decode_chunk = lcf.decode_chunk
+
+        def recording(meta, *args, **kwargs):
+            values = decode_chunk(meta, *args, **kwargs)
+            decodes.append((name_of[meta], len(values)))
+            return values
+
+        with mock.patch.object(lcf, "decode_chunk", recording):
+            batch = scan._filter_group(rg, chunks, projection, checks)
+        assert batch == per_row_filter(table, self.NAMES, projection, checks)
+
+        first = checks[0][0]
+        needed = {first, *projection, *(name for name, _, _ in checks)}
+        # each needed column is decoded once, the first check's whole
+        assert sorted(name for name, _ in decodes) == sorted(needed)
+        assert decodes[0] == (first, n)
+        # on the run path every other column is decoded over the run only
+        run = one_run(table[self.NAMES.index(first)], *checks[0][1:])
+        width = n if run is None else run[1] - run[0]
+        assert all(count == width for _, count in decodes[1:])
 
 
 class TestTailReads:
