@@ -27,14 +27,6 @@ REGION_PROFILES = {
 }
 
 
-def _frac(value: str | float | int | Fraction) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value) if "/" in value else Fraction(str(value))
-    return Fraction(str(value))
-
-
 @dataclass(frozen=True)
 class SimConfig:
     # Request prices (USD per million requests).  Reads are the cheap ones;
@@ -91,12 +83,8 @@ class SimConfig:
         return replace(self, **kwargs)
 
 
-_FRACTION_KEYS = {
-    f.name
-    for f in fields(SimConfig)
-    if f.type == "Fraction"
-}
-_INT_KEYS = {f.name for f in fields(SimConfig) if f.type == "int"}
+# each key's parser, from its field's annotation
+_PARSERS = {f.name: {"Fraction": Fraction, "int": int}[f.type] for f in fields(SimConfig)}
 
 
 def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
@@ -112,10 +100,14 @@ def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "region":
             region = value
-        elif key in _FRACTION_KEYS:
-            overrides[key] = _frac(value)
-        elif key in _INT_KEYS:
-            overrides[key] = int(value)
+        elif key in _PARSERS:
+            parse = _PARSERS[key]
+            try:
+                overrides[key] = parse(value)
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(
+                    f"line {lineno}: {key} = {value!r} is not a valid {parse.__name__}"
+                ) from None
         else:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
     if region is not None:

@@ -24,7 +24,7 @@ COLUMNS = (
     "returnflag",
     "linestatus",
 )
-SCHEMA = lcf.Schema(tuple((name, lcf.INT64) for name in COLUMNS))
+SCHEMA = lcf.Schema(COLUMNS)
 ROW_BYTES = 8 * len(COLUMNS)
 SHIPDATE_DAYS = 2526  # ~7 years of daily dates
 

@@ -31,39 +31,30 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 @dataclass(frozen=True)
 class Schema:
-    columns: tuple[tuple[str, int], ...]  # (name, type)
+    names: tuple[str, ...]  # every column is INT64
 
     def __post_init__(self):
-        if not self.columns:
+        if not self.names:
             raise ValueError("schema needs at least one column")
-        names = [name for name, _ in self.columns]
-        if len(set(names)) != len(names):
+        if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate column names")
-        for _, typ in self.columns:
-            if typ != INT64:
-                raise ValueError(f"unknown column type {typ}")
 
     def index_of(self, name: str) -> int:
-        for i, (col, _) in enumerate(self.columns):
-            if col == name:
-                return i
-        raise errors.UnknownColumn(name)
+        try:
+            return self.names.index(name)
+        except ValueError:
+            raise errors.UnknownColumn(name) from None
 
     def __len__(self) -> int:
-        return len(self.columns)
-
-
-class ColumnStats(NamedTuple):
-    min_value: int
-    max_value: int
+        return len(self.names)
 
 
 class ColumnChunkMeta(NamedTuple):
     offset: int
     compressed_len: int
-    uncompressed_len: int
     encoding: int
-    stats: ColumnStats
+    min_value: int
+    max_value: int
 
 
 class RowGroupMeta(NamedTuple):
@@ -75,7 +66,6 @@ class RowGroupMeta(NamedTuple):
 class FileFooter:
     schema: Schema
     row_groups: tuple[RowGroupMeta, ...]
-    version: int = FORMAT_VERSION
 
 
 def _check_values(name: str, values) -> None:
@@ -133,24 +123,16 @@ def write_file(schema: Schema, row_groups) -> bytes:
         if row_count == 0:
             raise errors.EmptyRowGroup("row groups must be non-empty")
         chunks = []
-        for (name, _), values in zip(schema.columns, table):
+        for name, values in zip(schema.names, table):
             if len(values) != row_count:
                 raise errors.TypeMismatch("ragged row group")
             if not all(map(isinstance, values, repeat(int))):
                 _check_values(name, values)
-            stats = ColumnStats(min(values), max(values))
-            if not _INT64_MIN <= stats.min_value <= stats.max_value <= _INT64_MAX:
+            min_value, max_value = min(values), max(values)
+            if not _INT64_MIN <= min_value <= max_value <= _INT64_MAX:
                 _check_values(name, values)
             encoded = encode_chunk(values)
-            chunks.append(
-                ColumnChunkMeta(
-                    offset=len(body),
-                    compressed_len=len(encoded),
-                    uncompressed_len=8 * row_count,
-                    encoding=ENC_PLAIN,
-                    stats=stats,
-                )
-            )
+            chunks.append(ColumnChunkMeta(len(body), len(encoded), ENC_PLAIN, min_value, max_value))
             body.extend(encoded)
         metas.append(RowGroupMeta(row_count=row_count, chunks=tuple(chunks)))
     footer = encode_footer(FileFooter(schema, tuple(metas)))
@@ -165,7 +147,8 @@ _GROUP_COUNT = struct.Struct("<I")
 @functools.lru_cache(maxsize=64)
 def _row_group_struct(ncols: int) -> struct.Struct:
     """One row group's footer entry: its row count, then per column the
-    chunk's offset, lengths and encoding, and its min and max."""
+    chunk's offset, lengths and encoding, and its min and max.  Readers
+    skip the uncompressed length; writers write the chunk's length there."""
     return struct.Struct("<Q" + "QQQBqq" * ncols)
 
 
@@ -173,7 +156,7 @@ def _row_group_struct(ncols: int) -> struct.Struct:
 def _decode_schema(head: bytes) -> Schema:
     """The schema of a footer whose bytes up to its row-group count are
     `head`; the files of one table share it, so it is parsed once."""
-    columns = []
+    names = []
     pos = _FOOTER_HEAD.size
     while pos < len(head):
         (name_len,) = _NAME_LEN.unpack_from(head, pos)
@@ -182,25 +165,27 @@ def _decode_schema(head: bytes) -> Schema:
             name = head[pos + 2 : end].decode("utf-8")
         except UnicodeDecodeError as err:
             raise errors.CorruptFooter(f"column name is not UTF-8: {err}")
-        columns.append((name, head[end]))
+        if head[end] != INT64:
+            raise errors.CorruptFooter(f"unknown column type {head[end]}")
+        names.append(name)
         pos = end + 1
     try:
-        return Schema(tuple(columns))
+        return Schema(tuple(names))
     except ValueError as err:
         raise errors.CorruptFooter(str(err))
 
 
 def encode_footer(footer: FileFooter) -> bytes:
-    out = bytearray(_FOOTER_HEAD.pack(footer.version, len(footer.schema)))
-    for name, typ in footer.schema.columns:
+    out = bytearray(_FOOTER_HEAD.pack(FORMAT_VERSION, len(footer.schema)))
+    for name in footer.schema.names:
         raw = name.encode("utf-8")
-        out += _NAME_LEN.pack(len(raw)) + raw + bytes((typ,))
+        out += _NAME_LEN.pack(len(raw)) + raw + bytes((INT64,))
     out += _GROUP_COUNT.pack(len(footer.row_groups))
     entry = _row_group_struct(len(footer.schema))
     for rg in footer.row_groups:
         fields = [rg.row_count]
-        for offset, clen, ulen, encoding, (min_v, max_v) in rg.chunks:
-            fields += (offset, clen, ulen, encoding, min_v, max_v)
+        for offset, clen, encoding, min_v, max_v in rg.chunks:
+            fields += (offset, clen, clen, encoding, min_v, max_v)
         out += entry.pack(*fields)
     return bytes(out)
 
@@ -234,8 +219,8 @@ def decode_footer(raw: bytes, data_end: int | None = None) -> FileFooter:
     if pos + size < len(raw):
         raise errors.CorruptFooter("trailing bytes after footer")
     # the metadata tuples are made by tuple.__new__, which skips each
-    # named tuple's Python-level constructor: the footer's fields are
-    # already in field order
+    # named tuple's Python-level constructor: the footer's fields, less
+    # the skipped length, are already in field order
     new = tuple.__new__
     groups = []
     prev_end = 0
@@ -243,7 +228,7 @@ def decode_footer(raw: bytes, data_end: int | None = None) -> FileFooter:
         chunks = []
         it = iter(fields)
         row_count = next(it)
-        for offset, clen, ulen, encoding, min_v, max_v in zip(it, it, it, it, it, it):
+        for offset, clen, _, encoding, min_v, max_v in zip(it, it, it, it, it, it):
             if min_v > max_v:
                 raise errors.CorruptFooter("chunk stats have min > max")
             if offset < prev_end:
@@ -251,10 +236,9 @@ def decode_footer(raw: bytes, data_end: int | None = None) -> FileFooter:
             prev_end = offset + clen
             if data_end is not None and prev_end > data_end:
                 raise errors.CorruptFooter("column chunk runs into the footer")
-            stats = new(ColumnStats, (min_v, max_v))
-            chunks.append(new(ColumnChunkMeta, (offset, clen, ulen, encoding, stats)))
+            chunks.append(new(ColumnChunkMeta, (offset, clen, encoding, min_v, max_v)))
         groups.append(new(RowGroupMeta, (row_count, tuple(chunks))))
-    return FileFooter(schema, tuple(groups), version)
+    return FileFooter(schema, tuple(groups))
 
 
 def split_trailer(tail: bytes, file_size: int) -> tuple[int, int]:
@@ -302,7 +286,7 @@ def read_footer_ranged(sim, ctx, bucket: str, key: str):
 def read_table(data: bytes) -> list[list]:
     """Decode a whole file into one column-major table (test/oracle path)."""
     footer = read_footer(data)
-    columns: list[list] = [[] for _ in footer.schema.columns]
+    columns: list[list] = [[] for _ in footer.schema.names]
     for rg in footer.row_groups:
         for column, chunk in zip(columns, rg.chunks):
             raw = data[chunk.offset : chunk.offset + chunk.compressed_len]

@@ -57,8 +57,8 @@ def prune_row_groups(footer: lcf.FileFooter, predicates: PredicateSet) -> list[i
     for g, rg in enumerate(footer.row_groups):
         keep = True
         for name, lo, hi in predicates.intervals:
-            stats = rg.chunks[col_idx[name]].stats
-            if stats.max_value < lo or stats.min_value > hi:
+            chunk = rg.chunks[col_idx[name]]
+            if chunk.max_value < lo or chunk.min_value > hi:
                 keep = False
                 break
         if keep:
@@ -68,8 +68,8 @@ def prune_row_groups(footer: lcf.FileFooter, predicates: PredicateSet) -> list[i
 
 def _stats_prove(schema: lcf.Schema, rg: lcf.RowGroupMeta, name: str, lo, hi) -> bool:
     """True when every value of a row group's column provably lies in [lo, hi]."""
-    stats = rg.chunks[schema.index_of(name)].stats
-    return lo <= stats.min_value and stats.max_value <= hi
+    chunk = rg.chunks[schema.index_of(name)]
+    return lo <= chunk.min_value and chunk.max_value <= hi
 
 
 def _run_of(values: list, lo: int, hi: int) -> tuple[int, int] | None:

@@ -118,7 +118,7 @@ class TestC05Pruning:
         spec, tables, _, _, footer = sorted_file
         # two middle groups = 2% of rows; nudge past duplicated boundary days
         col = footer.schema.index_of("shipdate")
-        stats = [rg.chunks[col].stats for rg in footer.row_groups]
+        stats = [rg.chunks[col] for rg in footer.row_groups]
         lo, hi = stats[49].min_value, stats[50].max_value
         if stats[48].max_value >= lo:
             lo = stats[48].max_value + 1

@@ -54,6 +54,21 @@ def test_parse_rejects_bad_line():
         parse_config_text("not a key value line\n")
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("steady_mib_per_s = fast", "steady_mib_per_s"),
+        ("concurrency_limit = 1e3", "concurrency_limit"),
+        ("concurrency_limit = 2.5", "concurrency_limit"),
+        ("vcpu_hz =", "vcpu_hz"),
+        ("steady_mib_per_s = 1/0", "steady_mib_per_s"),
+    ],
+)
+def test_parse_rejects_bad_value_naming_line_and_key(line, key):
+    with pytest.raises(errors.ConfigError, match=f"^line 3: {key} "):
+        parse_config_text(f"# tuning\nqueue_poll_latency_ms = 5\n{line}\n")
+
+
 def test_unknown_region():
     with pytest.raises(errors.ConfigError):
         SimConfig().with_region("moon")

@@ -57,8 +57,8 @@ def test_row_group_stats_reflect_sort():
     footer = lcf.read_footer(data)
     assert len(footer.row_groups) == 10
     idx = datagen.COLUMNS.index("shipdate")
-    mins = [rg.chunks[idx].stats.min_value for rg in footer.row_groups]
-    maxs = [rg.chunks[idx].stats.max_value for rg in footer.row_groups]
+    mins = [rg.chunks[idx].min_value for rg in footer.row_groups]
+    maxs = [rg.chunks[idx].max_value for rg in footer.row_groups]
     assert mins == sorted(mins)
     for hi, lo in zip(maxs, mins[1:]):
         assert hi <= lo

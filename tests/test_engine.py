@@ -189,7 +189,7 @@ INT64S = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 def lcf_tables(draw):
     """(schema, files): each file a list of row groups of column lists."""
     names = COLUMN_NAMES[: draw(st.integers(2, 4))]
-    schema = lcf.Schema(tuple((name, lcf.INT64) for name in names))
+    schema = lcf.Schema(tuple(names))
     files = []
     for _ in range(draw(st.integers(1, 3))):
         groups = []
@@ -226,7 +226,7 @@ def plans(draw, schema):
     """Random plans; a filter column that no key or aggregate reads
     sometimes gets the covering interval, which every group's stats prove,
     so the scan leaves that column unfetched."""
-    names = [name for name, _ in schema.columns]
+    names = list(schema.names)
     keys = draw(st.lists(st.sampled_from(names), max_size=2, unique=True))
     shared = draw(expressions(names))
     aggs = [
@@ -287,7 +287,7 @@ class TestColumnarFragment:
             for groups in files
         ]
         rows, _ = run_query(sim, plan, keys, files_per_worker=len(keys))
-        oracle = engine.reference_execute(tables, [n for n, _ in schema.columns], plan)
+        oracle = engine.reference_execute(tables, list(schema.names), plan)
         assert json.dumps(rows) == json.dumps(oracle)
 
 
@@ -485,7 +485,7 @@ class TestRequestCount:
             expected += 1  # the footer
             col = footer.schema.index_of(name)
             for rg in footer.row_groups:
-                stats = rg.chunks[col].stats
+                stats = rg.chunks[col]
                 if stats.max_value < lo or stats.min_value > hi:
                     continue  # pruned
                 proven = lo <= stats.min_value and stats.max_value <= hi

@@ -1,4 +1,6 @@
+import re
 import struct
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -11,7 +13,7 @@ from lambada_lab.scan import PredicateSet, execute_scan
 from lambada_lab.substrate import CloudSim
 
 
-SCHEMA_XY = lcf.Schema((("x", lcf.INT64), ("y", lcf.INT64)))
+SCHEMA_XY = lcf.Schema(("x", "y"))
 
 
 def golden_single_column_bytes():
@@ -32,15 +34,41 @@ def golden_single_column_bytes():
 
 class TestGolden:
     def test_writer_matches_hand_built_bytes(self):
-        schema = lcf.Schema((("x", lcf.INT64),))
+        schema = lcf.Schema(("x",))
         data = lcf.write_file(schema, [[[1, 2]]])
         assert data == golden_single_column_bytes()
 
     def test_trailer_layout(self):
-        data = lcf.write_file(lcf.Schema((("x", lcf.INT64),)), [[[1, 2]]])
+        data = lcf.write_file(lcf.Schema(("x",)), [[[1, 2]]])
         assert data[-4:] == b"LCF1"
         (footer_len,) = struct.unpack("<I", data[-8:-4])
         assert footer_len == len(data) - 16 - 8  # body is 16 bytes
+
+
+FORMAT_MD = Path(__file__).resolve().parent.parent / "FORMAT.md"
+
+
+def format_doc_example() -> bytes:
+    """The bytes of FORMAT.md's worked example: each dump line is an offset,
+    then bytes as two hex digits, ``00*8`` meaning eight zero bytes, then,
+    after two or more spaces, a note.  Each offset must follow on."""
+    doc = FORMAT_MD.read_text(encoding="utf-8")
+    dump = doc.split("## Worked example", 1)[1].split("```")[1]
+    out = bytearray()
+    for line in dump.strip().splitlines():
+        offset, rest = line.split(None, 1)
+        assert int(offset, 16) == len(out), line
+        for token in re.split(r"\s{2,}", rest, maxsplit=1)[0].split():
+            byte, _, count = token.partition("*")
+            out += bytes([int(byte, 16)]) * int(count or 1)
+    return bytes(out)
+
+
+class TestFormatDoc:
+    def test_worked_example_is_what_the_writer_writes(self):
+        data = lcf.write_file(lcf.Schema(("x",)), [[[1, 2]]])
+        assert format_doc_example() == data
+        assert len(data) == 85
 
 
 class TestRoundTrip:
@@ -55,8 +83,9 @@ class TestRoundTrip:
     def test_footer_stats(self):
         data = lcf.write_file(SCHEMA_XY, [[[5, -2, 9], [7, 7, 7]]])
         footer = lcf.read_footer(data)
-        assert footer.row_groups[0].chunks[0].stats == lcf.ColumnStats(-2, 9)
-        assert footer.row_groups[0].chunks[1].stats == lcf.ColumnStats(7, 7)
+        x, y = footer.row_groups[0].chunks
+        assert (x.min_value, x.max_value) == (-2, 9)
+        assert (y.min_value, y.max_value) == (7, 7)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -71,7 +100,7 @@ class TestRoundTrip:
         )
     )
     def test_round_trip_property(self, group_values):
-        schema = lcf.Schema((("v", lcf.INT64),))
+        schema = lcf.Schema(("v",))
         groups = [[values] for values in group_values]
         data = lcf.write_file(schema, groups)
         assert lcf.read_table(data) == [sum(group_values, [])]
@@ -87,8 +116,7 @@ class TestPlainCodec:
     def test_int64_matches_struct(self, values, data):
         encoded = lcf.encode_chunk(values)
         assert encoded == b"".join(struct.pack("<q", v) for v in values)
-        meta = lcf.ColumnChunkMeta(0, len(encoded), len(encoded), lcf.ENC_PLAIN,
-                                   lcf.ColumnStats(0, 0))
+        meta = lcf.ColumnChunkMeta(0, len(encoded), lcf.ENC_PLAIN, 0, 0)
         a = data.draw(st.integers(0, len(values)))
         b = data.draw(st.integers(a, len(values)))
         for little_endian_host in (True, False):  # both decode paths
@@ -103,7 +131,7 @@ class TestValidation:
             lcf.read_footer(b"not a columnar file")
 
     def test_truncated_footer(self):
-        data = lcf.write_file(lcf.Schema((("x", lcf.INT64),)), [[[1, 2]]])
+        data = lcf.write_file(lcf.Schema(("x",)), [[[1, 2]]])
         mangled = data[:20] + data[24:]  # drop 4 bytes inside the footer
         with pytest.raises((errors.CorruptFooter, errors.BadMagic)):
             lcf.read_footer(mangled)
@@ -114,7 +142,7 @@ class TestValidation:
             lcf.read_footer(bad)
 
     def test_stats_min_above_max_rejected(self):
-        data = bytearray(lcf.write_file(lcf.Schema((("x", lcf.INT64),)), [[[1, 2]]]))
+        data = bytearray(lcf.write_file(lcf.Schema(("x",)), [[[1, 2]]]))
         # golden layout: min starts 16 bytes before the max field's end
         footer_start = 16
         min_off = footer_start + 2 + 2 + (2 + 1 + 1) + 4 + 8 + 25
@@ -123,7 +151,7 @@ class TestValidation:
             lcf.read_footer(bytes(data))
 
     def test_chunk_length_mismatch(self):
-        data = lcf.write_file(lcf.Schema((("x", lcf.INT64),)), [[[1, 2]]])
+        data = lcf.write_file(lcf.Schema(("x",)), [[[1, 2]]])
         footer = lcf.read_footer(data)
         chunk = footer.row_groups[0].chunks[0]
         with pytest.raises(errors.CorruptChunk):
@@ -147,12 +175,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("value", [2**63, -(2**63) - 1, 2**70])
     def test_int64_out_of_range_names_the_column(self, value):
-        schema = lcf.Schema((("a", lcf.INT64),))
+        schema = lcf.Schema(("a",))
         with pytest.raises(errors.TypeMismatch, match=f"column 'a': {value} is outside"):
             lcf.write_file(schema, [[[0, value]]])
 
     def test_int64_range_ends_round_trip(self):
-        schema = lcf.Schema((("a", lcf.INT64),))
+        schema = lcf.Schema(("a",))
         values = [-(2**63), 2**63 - 1, -(2**63)]
         data = lcf.write_file(schema, [[values]])
         assert lcf.read_table(data) == [values]
@@ -166,12 +194,12 @@ class TestValidation:
             lcf.write_file(SCHEMA_XY, [table])
 
     def test_bool_is_accepted_as_int64(self):
-        data = lcf.write_file(lcf.Schema((("a", lcf.INT64),)), [[[True, 5, False]]])
+        data = lcf.write_file(lcf.Schema(("a",)), [[[True, 5, False]]])
         assert lcf.read_table(data) == [[1, 5, 0]]
 
     def test_empty_row_group_rejected(self):
         with pytest.raises(errors.EmptyRowGroup):
-            lcf.write_file(lcf.Schema((("x", lcf.INT64),)), [[[]]])
+            lcf.write_file(lcf.Schema(("x",)), [[[]]])
 
     def test_unknown_column_lookup(self):
         with pytest.raises(errors.UnknownColumn):
@@ -195,7 +223,7 @@ class TestUnknownEncoding:
 
     @pytest.mark.parametrize("encoding", [1, 255])
     def test_decode_chunk_rejects_it(self, encoding):
-        meta = lcf.ColumnChunkMeta(0, 16, 16, encoding, lcf.ColumnStats(1, 2))
+        meta = lcf.ColumnChunkMeta(0, 16, encoding, 1, 2)
         with pytest.raises(errors.CorruptChunk, match=f"unknown encoding id {encoding}"):
             lcf.decode_chunk(meta, struct.pack("<qq", 1, 2), 2)
 
@@ -242,12 +270,15 @@ def naive_decode_footer(raw: bytes) -> lcf.FileFooter:
     version = take("<H")
     if version != lcf.FORMAT_VERSION:
         raise errors.CorruptFooter(f"unsupported format version {version}")
-    columns = []
+    names = []
     for _ in range(take("<H")):
         name = take_bytes(take("<H")).decode("utf-8")
-        columns.append((name, take("<B")))
+        typ = take("<B")
+        if typ != lcf.INT64:
+            raise errors.CorruptFooter(f"unknown column type {typ}")
+        names.append(name)
     try:
-        schema = lcf.Schema(tuple(columns))
+        schema = lcf.Schema(tuple(names))
     except ValueError as err:
         raise errors.CorruptFooter(str(err))
     groups = []
@@ -255,21 +286,19 @@ def naive_decode_footer(raw: bytes) -> lcf.FileFooter:
     for _ in range(take("<I")):
         row_count = take("<Q")
         chunks = []
-        for _ in schema.columns:
-            offset, clen, ulen, encoding = take("<QQQB")
+        for _ in schema.names:
+            offset, clen, _ulen, encoding = take("<QQQB")  # readers skip the length
             min_v, max_v = take("<q"), take("<q")
             if min_v > max_v:
                 raise errors.CorruptFooter("chunk stats have min > max")
             if offset < prev_end:
                 raise errors.CorruptFooter("column chunks overlap")
             prev_end = offset + clen
-            chunks.append(
-                lcf.ColumnChunkMeta(offset, clen, ulen, encoding, lcf.ColumnStats(min_v, max_v))
-            )
+            chunks.append(lcf.ColumnChunkMeta(offset, clen, encoding, min_v, max_v))
         groups.append(lcf.RowGroupMeta(row_count, tuple(chunks)))
     if pos != len(raw):
         raise errors.CorruptFooter("trailing bytes after footer")
-    return lcf.FileFooter(schema, tuple(groups), version)
+    return lcf.FileFooter(schema, tuple(groups))
 
 
 INT64_STATS = st.one_of(
@@ -292,14 +321,22 @@ def footers(draw):
             offset = end + draw(st.integers(0, 3))
             clen = draw(st.integers(1, 2**20))
             end = offset + clen
-            chunks.append(
-                lcf.ColumnChunkMeta(
-                    offset, clen, draw(U64), draw(st.integers(0, 255)), lcf.ColumnStats(a, b)
-                )
-            )
+            chunks.append(lcf.ColumnChunkMeta(offset, clen, draw(st.integers(0, 255)), a, b))
         groups.append(lcf.RowGroupMeta(draw(U64), tuple(chunks)))
-    schema = lcf.Schema(tuple((name, lcf.INT64) for name in names))
-    return lcf.FileFooter(schema, tuple(groups))
+    return lcf.FileFooter(lcf.Schema(tuple(names)), tuple(groups))
+
+
+@st.composite
+def written_files(draw):
+    """The LCF bytes of a table of 1-4 columns in 1-4 row groups."""
+    names = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True))
+    groups = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(1, 6))
+        groups.append(
+            [draw(st.lists(INT64_STATS, min_size=rows, max_size=rows)) for _ in names]
+        )
+    return lcf.write_file(lcf.Schema(tuple(names)), groups)
 
 
 def both_reject(raw: bytes) -> None:
@@ -320,6 +357,34 @@ class TestFooterDecoder:
         assert decoded == naive_decode_footer(raw) == footer
         assert all(isinstance(rg, lcf.RowGroupMeta) for rg in decoded.row_groups)
 
+    @settings(max_examples=100, deadline=None)
+    @given(written_files())
+    def test_written_footers_round_trip_byte_for_byte(self, data):
+        """Memory keeps no type, version or uncompressed length, and loses
+        no byte of a footer the writer makes."""
+        footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
+        raw = data[footer_off : footer_off + footer_len]
+        footer = lcf.decode_footer(raw, footer_off)
+        assert lcf.encode_footer(footer) == raw
+        assert naive_decode_footer(raw) == footer
+        # each chunk's uncompressed-length slot holds its compressed length
+        ncols = len(footer.schema)
+        entry = struct.Struct("<Q" + "QQQBqq" * ncols)
+        entries = raw[len(raw) - len(footer.row_groups) * entry.size :]
+        for fields in entry.iter_unpack(entries):
+            for c in range(ncols):
+                _, clen, ulen, *_ = fields[1 + 6 * c : 7 + 6 * c]
+                assert ulen == clen == 8 * fields[0]
+
+    def test_uncompressed_length_slot_is_skipped(self):
+        data = bytearray(golden_single_column_bytes())
+        # body, version, column count, the column, group count, row count, offset, length
+        at = 16 + 2 + 2 + (2 + 1 + 1) + 4 + 8 + 8 + 8
+        assert struct.unpack_from("<Q", data, at) == (16,)
+        struct.pack_into("<Q", data, at, 2**64 - 1)
+        assert lcf.read_footer(bytes(data)) == lcf.read_footer(golden_single_column_bytes())
+        assert lcf.read_table(bytes(data)) == [[1, 2]]
+
     @settings(max_examples=30, deadline=None)
     @given(footers())
     def test_every_proper_prefix_and_a_trailing_byte_are_rejected(self, footer):
@@ -334,7 +399,7 @@ class TestFooterDecoder:
         g = data.draw(st.integers(0, len(footer.row_groups) - 1))
         c = data.draw(st.integers(0, len(footer.schema) - 1))
         rg = footer.row_groups[g]
-        chunk = rg.chunks[c]._replace(stats=lcf.ColumnStats(2, 1))
+        chunk = rg.chunks[c]._replace(min_value=2, max_value=1)
         chunks = rg.chunks[:c] + (chunk,) + rg.chunks[c + 1 :]
         groups = footer.row_groups[:g] + (rg._replace(chunks=chunks),) + footer.row_groups[g + 1 :]
         both_reject(lcf.encode_footer(lcf.FileFooter(footer.schema, groups)))
@@ -405,8 +470,7 @@ class TestFooterDecoder:
     def test_footers_with_different_schemas_decode_to_different_schemas(self, first, second):
         decoded = []
         for names in (first, second, first):
-            schema = lcf.Schema(tuple((name, lcf.INT64) for name in names))
-            footer = lcf.FileFooter(schema, ())
+            footer = lcf.FileFooter(lcf.Schema(names), ())
             assert lcf.decode_footer(lcf.encode_footer(footer)) == footer
             decoded.append(lcf.decode_footer(lcf.encode_footer(footer)).schema)
         assert decoded[0] != decoded[1] and decoded[0] == decoded[2]
@@ -435,7 +499,7 @@ class TestRangedFooterRead:
         assert (tail, tail_start) == (data, 0)
 
     def test_tail_is_the_window_and_its_file_offset(self):
-        schema = lcf.Schema((("x", lcf.INT64),))
+        schema = lcf.Schema(("x",))
         data = lcf.write_file(schema, [[list(range(10_000))]])
         sim = self._seeded_sim(data)
         _, tail, tail_start = self._read(sim)
@@ -446,7 +510,7 @@ class TestRangedFooterRead:
 
     def test_oversized_footer_needs_second_request(self):
         # thousands of row groups push the footer past the 64 KiB tail window
-        schema = lcf.Schema((("x", lcf.INT64),))
+        schema = lcf.Schema(("x",))
         groups = [[[i]] for i in range(2000)]
         data = lcf.write_file(schema, groups)
         footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
@@ -461,7 +525,7 @@ class TestRangedFooterRead:
 
 def file_with_chunk_in_footer():
     """A two-group file whose last chunk points at the footer's own offset."""
-    schema = lcf.Schema((("x", lcf.INT64),))
+    schema = lcf.Schema(("x",))
     data = lcf.write_file(schema, [[[1, 2]], [[3, 4]]])
     footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
     footer = lcf.read_footer(data)
@@ -493,7 +557,7 @@ class TestChunkInsideFooter:
             sim.loop.run_task(main())
 
     def test_chunk_ending_at_the_footer_is_accepted(self):
-        schema = lcf.Schema((("x", lcf.INT64),))
+        schema = lcf.Schema(("x",))
         data = lcf.write_file(schema, [[[1, 2]], [[3, 4]]])
         footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
         raw = data[footer_off : footer_off + footer_len]

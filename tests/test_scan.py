@@ -17,7 +17,7 @@ MIB = 1024 * 1024
 
 
 def make_file(groups, names=("a", "b")):
-    schema = lcf.Schema(tuple((n, lcf.INT64) for n in names))
+    schema = lcf.Schema(tuple(names))
     return lcf.write_file(schema, groups), schema
 
 
@@ -117,14 +117,12 @@ class TestPlanner:
     def test_idle_connections_trigger_chunk_splitting(self):
         chunk_len = MIB
         footer = lcf.FileFooter(
-            lcf.Schema((("x", lcf.INT64),)),
+            lcf.Schema(("x",)),
             (
                 lcf.RowGroupMeta(
                     chunk_len // 8,
                     (
-                        lcf.ColumnChunkMeta(
-                            0, chunk_len, chunk_len, lcf.ENC_PLAIN, lcf.ColumnStats(0, 0)
-                        ),
+                        lcf.ColumnChunkMeta(0, chunk_len, lcf.ENC_PLAIN, 0, 0),
                     ),
                 ),
             ),
@@ -258,14 +256,12 @@ class TestExecute:
         # 1024 data requests at $0.4/M is $4.096e-4 on the nose.
         chunk_len = 64 * MIB
         footer = lcf.FileFooter(
-            lcf.Schema((("x", lcf.INT64),)),
+            lcf.Schema(("x",)),
             (
                 lcf.RowGroupMeta(
                     chunk_len // 8,
                     (
-                        lcf.ColumnChunkMeta(
-                            0, chunk_len, chunk_len, lcf.ENC_PLAIN, lcf.ColumnStats(0, 0)
-                        ),
+                        lcf.ColumnChunkMeta(0, chunk_len, lcf.ENC_PLAIN, 0, 0),
                     ),
                 ),
             ),
@@ -284,7 +280,7 @@ class TestExecute:
     def test_requests_monotone_in_chunk_size(self):
         chunk_len = MIB
         values = list(range(chunk_len // 8))
-        data = lcf.write_file(lcf.Schema((("x", lcf.INT64),)), [[values]])
+        data = lcf.write_file(lcf.Schema(("x",)), [[values]])
         counts = []
         for size in (64 * 1024, 128 * 1024, 256 * 1024):
             sim = seeded_sim({"f.lcf": data})
@@ -321,7 +317,7 @@ class TestExecute:
     def test_wrong_length_projection_chunk_raises_on_the_run_path(self):
         # b's chunk holds 7 values for 8 rows; the check on a keeps rows 2
         # and 3, so the run path would decode only b's rows 2 and 3
-        schema = lcf.Schema((("a", lcf.INT64), ("b", lcf.INT64)))
+        schema = lcf.Schema(("a", "b"))
         data = lcf.write_file(schema, [[list(range(8)), list(range(10, 18))]])
         footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
         footer = lcf.read_footer(data)
@@ -499,7 +495,7 @@ class TestTailReads:
 
     def test_footer_larger_than_the_window_serves_nothing_from_it(self):
         # the footer fills the window, so every surviving chunk is fetched
-        schema = lcf.Schema((("x", lcf.INT64),))
+        schema = lcf.Schema(("x",))
         data = lcf.write_file(schema, [[[i]] for i in range(2000)])
         footer_off, _ = lcf.split_trailer(data[-8:], len(data))
         assert footer_off < len(data) - lcf.FOOTER_TAIL_WINDOW
@@ -569,7 +565,7 @@ class TestGetSchedule:
         groups = [[[g * 4096 + i for i in range(2048)] for _ in names] for g in range(4)]
         wide = clear_of_tail(make_file(groups, names)[0])
         # (b) one group whose single 1.2 MB chunk is split into ranged GETs
-        big = lcf.write_file(lcf.Schema((("x", lcf.INT64),)), [[list(range(150_000))]])
+        big = lcf.write_file(lcf.Schema(("x",)), [[list(range(150_000))]])
         # (c) f is filter-only: proven in group 0, pruned in group 1, open in
         # groups 2 to 4; group 4 lies inside the footer's tail. Groups 0 and
         # 2 in flight need three GETs, so a third group launched early would
