@@ -24,6 +24,10 @@ MEMORY_SWEEP = (512, 1024, 1792, 2048, 3008)
 EXCHANGE_REFERENCE_S = {250: 22, 500: 15, 1000: 13}
 
 
+class OracleMismatch(Exception):
+    """A bench's answer differs from the single-node oracle's."""
+
+
 def _write(outdir: Path, name: str, lines: list[str]) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / name
@@ -102,11 +106,14 @@ def bench_q6(cfg: SimConfig, args, outdir: Path) -> list[str]:
     oracle = engine.reference_execute(tables * args.replication, datagen.COLUMNS, plan)
     lines = [engine.QueryReport.CSV_HEADER, report.to_csv_row()]
     _write(outdir, "q6.csv", lines)
-    ok = "ok" if rows == oracle else "MISMATCH"
-    return [
-        f"q6: answer {json.dumps(rows)} ({ok} vs oracle), "
+    ok = rows == oracle
+    note = (
+        f"q6: answer {json.dumps(rows)} ({'ok' if ok else 'MISMATCH'} vs oracle), "
         f"latency {report.latency_us / US_PER_S:.3f}s -> {outdir / 'q6.csv'}"
-    ]
+    )
+    if not ok:
+        raise OracleMismatch(note)
+    return [note]
 
 
 def bench_exchange(cfg: SimConfig, args, outdir: Path) -> list[str]:
@@ -256,7 +263,11 @@ def main(argv=None) -> int:
     if args.command == "gen":
         notes = cmd_gen(cfg, args)
     else:
-        notes = BENCHES[args.experiment](cfg, args, Path(args.out))
+        try:
+            notes = BENCHES[args.experiment](cfg, args, Path(args.out))
+        except OracleMismatch as err:
+            print(err)
+            return 1
     for note in notes:
         print(note)
     return 0

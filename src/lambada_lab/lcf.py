@@ -193,6 +193,17 @@ def encode_footer(footer: FileFooter) -> bytes:
 def decode_footer(raw: bytes, data_end: int | None = None) -> FileFooter:
     """Decode a footer; with `data_end`, the footer's offset in its file,
     a column chunk that runs past it raises CorruptFooter."""
+    return _decode_footer(bytes(raw), data_end)
+
+
+# Replicas of a file share its footer bytes, so a worker whose footer was
+# decoded before pays a lookup.  The key is the footer alone, never the
+# 64 KiB tail around it, plus `data_end`, which the overlap check reads.
+# A query over replicas cycles through its distinct footers, and an LRU
+# cycled over more keys than it holds never hits: the bound must stay
+# above the distinct footers of one query (32 files by default).
+@functools.lru_cache(maxsize=256)
+def _decode_footer(raw: bytes, data_end: int | None) -> FileFooter:
     if len(raw) < _FOOTER_HEAD.size:
         raise errors.CorruptFooter("footer truncated")
     version, ncols = _FOOTER_HEAD.unpack_from(raw)

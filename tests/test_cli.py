@@ -1,7 +1,7 @@
 import hashlib
 import json
 
-from lambada_lab import cli, datagen, lcf
+from lambada_lab import cli, datagen, engine, lcf
 
 
 def run_cli(*argv):
@@ -38,6 +38,13 @@ def test_bench_q6_reports_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "(ok vs oracle)" in out
     assert (tmp_path / "q6.csv").exists()
+
+
+def test_bench_q6_exits_nonzero_on_oracle_mismatch(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "reference_execute", lambda *args: [[0]])
+    argv = ["bench", "q6", *SMALL, "-o", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "(MISMATCH vs oracle)" in capsys.readouterr().out
 
 
 def test_bench_q1_sweep_shape(tmp_path):

@@ -179,6 +179,18 @@ class TestQueries:
         rows, _ = run_query(sim, plan, keys, strategy=invoke.TWO_LEVEL)
         assert rows == engine.reference_execute(tables, datagen.COLUMNS, plan)
 
+    def test_replicas_decode_each_distinct_footer_once(self):
+        """Replicas share footer bytes: each distinct footer is parsed on
+        its first read, and every later replica's read is a lookup."""
+        R, N = 5, 3
+        sim, keys, tables = setup_data(rows=900, files=N, replication=R)
+        plan = engine.q6_plan(0, datagen.SHIPDATE_DAYS)
+        lcf._decode_footer.cache_clear()
+        rows, _ = run_query(sim, plan, keys, strategy=invoke.TWO_LEVEL)
+        assert rows == engine.reference_execute(tables * R, datagen.COLUMNS, plan)
+        info = lcf._decode_footer.cache_info()
+        assert (info.misses, info.hits) == (N, (R - 1) * N)
+
 
 COLUMN_NAMES = ("c0", "c1", "c2", "c3")
 INTS = st.integers(min_value=-20, max_value=20)

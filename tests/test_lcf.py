@@ -439,8 +439,9 @@ class TestFooterDecoder:
         with pytest.raises(errors.CorruptFooter, match="not UTF-8"):
             lcf.decode_footer(raw)
 
-    # a parsed schema is cached by its bytes: a rejected one must be
-    # rejected again, not remembered
+    # a decoded footer is cached by its bytes and `data_end`, and a parsed
+    # schema by its bytes: a rejected one must be rejected again, not
+    # remembered
     @pytest.mark.parametrize(
         "columns, message",
         [
@@ -457,6 +458,39 @@ class TestFooterDecoder:
         for _ in range(2):
             with pytest.raises(errors.CorruptFooter, match=message):
                 lcf.decode_footer(raw)
+
+    @pytest.mark.parametrize(
+        "first, second, data_end, message",
+        [
+            ((0, 16, 2, 1), (16, 16, 3, 4), None, "min > max"),
+            ((0, 16, 1, 2), (8, 16, 3, 4), None, "overlap"),
+            ((0, 16, 1, 2), (16, 16, 3, 4), 31, "runs into the footer"),
+        ],
+        ids=["min-above-max", "overlapping-chunks", "chunk-into-footer"],
+    )
+    def test_bad_footer_is_rejected_on_every_decode(self, first, second, data_end, message):
+        groups = tuple(
+            lcf.RowGroupMeta(2, (lcf.ColumnChunkMeta(offset, clen, lcf.ENC_PLAIN, lo, hi),))
+            for offset, clen, lo, hi in (first, second)
+        )
+        raw = lcf.encode_footer(lcf.FileFooter(lcf.Schema(("x",)), groups))
+        for _ in range(2):
+            with pytest.raises(errors.CorruptFooter, match=message):
+                lcf.decode_footer(raw, data_end)
+
+    def test_equal_footer_bytes_are_decoded_once(self):
+        data = lcf.write_file(SCHEMA_XY, [[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
+        footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
+        raw = data[footer_off : footer_off + footer_len]
+        lcf._decode_footer.cache_clear()
+        first = lcf.decode_footer(raw, footer_off)
+        # equal bytes in a fresh object, as a replica brings them, or in a
+        # bytearray or memoryview, find the first decode
+        for copy in (bytes(bytearray(raw)), bytearray(raw), memoryview(raw)):
+            assert lcf.decode_footer(copy, footer_off) == first
+        info = lcf._decode_footer.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert first == lcf.read_footer(data)
 
     @pytest.mark.parametrize(
         "first, second",
@@ -521,6 +555,17 @@ class TestRangedFooterRead:
         assert len(footer.row_groups) == 2000
         # the window holds footer bytes only: no chunk lies inside it
         assert tail == data[tail_start:] and footer_off < tail_start
+
+    def test_files_with_equal_footers_share_one_decode(self):
+        # the bodies, and so the tails read, differ; the footers do not
+        first = lcf.write_file(SCHEMA_XY, [[[1, 2], [3, 4]]])
+        second = lcf.write_file(SCHEMA_XY, [[[2, 1], [4, 3]]])
+        assert first[:32] != second[:32] and first[32:] == second[32:]
+        lcf._decode_footer.cache_clear()
+        footers = [self._read(self._seeded_sim(data))[0] for data in (first, second)]
+        info = lcf._decode_footer.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert footers[0] == footers[1] == lcf.read_footer(first)
 
 
 def file_with_chunk_in_footer():
