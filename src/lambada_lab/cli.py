@@ -46,10 +46,7 @@ def _gen_spec(args) -> datagen.GenSpec:
 
 def _seeded_sim(cfg: SimConfig, args):
     sim = CloudSim(cfg)
-    spec = _gen_spec(args)
-    keys = datagen.gen(sim, spec, args.seed)
-    tables = datagen.generate_tables(spec, args.seed)
-    return sim, keys, tables
+    return sim, datagen.gen(sim, _gen_spec(args), args.seed)
 
 
 def cmd_gen(cfg: SimConfig, args) -> list[str]:
@@ -72,11 +69,13 @@ def cmd_gen(cfg: SimConfig, args) -> list[str]:
 
 def bench_q1(cfg: SimConfig, args, outdir: Path) -> list[str]:
     cfg = cfg.updated(decode_cycles_per_byte=Fraction(args.decode_cycles))
+    tables = datagen.generate_tables(_gen_spec(args), args.seed)
+    plan = engine.q1_plan(datagen.percentile_value(tables, "shipdate", 0.98))
+    oracle = engine.reference_execute(tables * args.replication, datagen.COLUMNS, plan)
     lines = ["memory_mib,files_per_worker,latency_us,rows,request_usd,worker_usd,total_usd"]
+    wrong = []  # the memory sizes whose answer differs from the oracle's
     for memory_mib in MEMORY_SWEEP:
-        sim, keys, tables = _seeded_sim(cfg, args)
-        cutoff = datagen.percentile_value(tables, "shipdate", 0.98)
-        plan = engine.q1_plan(cutoff)
+        sim, keys = _seeded_sim(cfg, args)
         rows, report = sim.loop.run_task(
             engine.execute(
                 sim,
@@ -86,17 +85,22 @@ def bench_q1(cfg: SimConfig, args, outdir: Path) -> list[str]:
                 spec=FunctionSpec(memory_mib=memory_mib),
             )
         )
+        if rows != oracle:
+            wrong.append(memory_mib)
         lines.append(
             f"{memory_mib},{args.files_per_worker},{report.latency_us},{len(rows)},"
             f"{format_usd(report.request_usd)},{format_usd(report.worker_usd)},"
             f"{format_usd(report.total_usd)}"
         )
     _write(outdir, "q1.csv", lines)
-    return [f"q1: swept memory {MEMORY_SWEEP} -> {outdir / 'q1.csv'}"]
+    if wrong:
+        raise OracleMismatch(f"q1: answer at memory {wrong} MiB (MISMATCH vs oracle)")
+    return [f"q1: swept memory {MEMORY_SWEEP} (every answer ok vs oracle) -> {outdir / 'q1.csv'}"]
 
 
 def bench_q6(cfg: SimConfig, args, outdir: Path) -> list[str]:
-    sim, keys, tables = _seeded_sim(cfg, args)
+    tables = datagen.generate_tables(_gen_spec(args), args.seed)
+    sim, keys = _seeded_sim(cfg, args)
     lo = datagen.percentile_value(tables, "shipdate", 0.49)
     hi = datagen.percentile_value(tables, "shipdate", 0.51)
     plan = engine.q6_plan(lo, hi)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
-from .billing import PriceSheet
+from .billing import worker_rate
 from .config import SimConfig
 from .substrate import FunctionSpec
 
@@ -39,7 +39,7 @@ class ResourceProfile:
 
 def faas_profile(cfg: SimConfig) -> ResourceProfile:
     """A default (2 GiB) function at the simulator's worker price and steady scan rate."""
-    price = PriceSheet.from_config(cfg).worker_rate(FunctionSpec().memory_mib)
+    price = worker_rate(cfg, FunctionSpec().memory_mib)
     return ResourceProfile(
         FAAS, startup_s=Fraction(4), scan_mib_per_s=cfg.steady_mib_per_s, unit_usd_per_s=price
     )

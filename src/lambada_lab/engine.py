@@ -45,27 +45,11 @@ def eval_expr(expr, row: dict):
         return args[0] - args[1]
     if op == "mul":
         return args[0] * args[1]
-    if op == "ge":
-        return args[0] >= args[1]
-    if op == "le":
-        return args[0] <= args[1]
-    if op == "and":
-        return all(args)
     raise ValueError(f"unknown operator {op}")
 
 
-_BINARY_OPS = {
-    "add": operator.add,
-    "sub": operator.sub,
-    "mul": operator.mul,
-    "ge": operator.ge,
-    "le": operator.le,
-}
+_BINARY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 _COLUMN, _CONSTANT = "col", "const"
-
-
-def _all_of(*values) -> bool:
-    return all(values)
 
 
 def compile_program(exprs, index: dict[str, int]):
@@ -99,10 +83,9 @@ def _add_step(expr, index, slots: dict, steps: list) -> int:
             raise ValueError(f"constant {value!r} is not an int")
         key = step = (_CONSTANT, value)
     else:
-        op = expr["op"]
-        fn = _all_of if op == "and" else _BINARY_OPS.get(op)
+        fn = _BINARY_OPS.get(expr["op"])
         if fn is None:
-            raise ValueError(f"unknown operator {op}")
+            raise ValueError(f"unknown operator {expr['op']}")
         args = tuple([_add_step(a, index, slots, steps) for a in expr["args"]])
         key = step = (fn, args)
     slot = slots.setdefault(key, len(steps))
@@ -363,7 +346,7 @@ def execute(
         return partials
 
     def main():
-        driver = HostContext(sim, "driver", ledger=BillingLedger(sim.prices, parent=sim.ledger))
+        driver = HostContext(sim, "driver", ledger=BillingLedger(sim.cfg, parent=sim.ledger))
         start = sim.loop.now
         # the driver receives while its workers are still being invoked
         collector = sim.loop.spawn(collect(driver), name="collect")

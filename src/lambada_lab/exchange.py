@@ -18,8 +18,9 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd
 
-from .billing import LIST, READ, WRITE
+from .billing import LIST, READ, WRITE, request_price, worker_rate
 from .clock import AllOf, Future
+from .config import SimConfig
 from .substrate import HostContext, ZeroBlob
 
 WC_OFF = "off"
@@ -343,7 +344,7 @@ class CostModelRow:
 VARIANTS = ("1l", "1l-wc", "2l", "2l-wc", "3l", "3l-wc")
 
 
-def exchange_cost(P: int, variant: str, prices, num_buckets: int = 1) -> CostModelRow:
+def exchange_cost(P: int, variant: str, cfg: SimConfig, num_buckets: int = 1) -> CostModelRow:
     """Closed-form request counts and bill for one exchange variant.
 
     Write-combined variants assume offsets-in-name: each round a receiver
@@ -382,9 +383,9 @@ def exchange_cost(P: int, variant: str, prices, num_buckets: int = 1) -> CostMod
     if not combined:
         lists = 0
     usd = (
-        reads * prices.request_price(READ)
-        + writes * prices.request_price(WRITE)
-        + lists * prices.request_price(LIST)
+        reads * request_price(cfg, READ)
+        + writes * request_price(cfg, WRITE)
+        + lists * request_price(cfg, LIST)
     )
     return CostModelRow(variant, reads, writes, lists, k, usd)
 
@@ -393,11 +394,11 @@ def exchange_worker_cost(
     P: int,
     total_bytes: int,
     mib_per_s: Fraction,
-    prices,
+    cfg: SimConfig,
     memory_mib: int = 2048,
     levels: int = 1,
 ) -> Fraction:
     """Worker-time bill: each round reads and writes the full input once."""
     per_worker_bytes = Fraction(total_bytes, P)
     seconds = 2 * levels * per_worker_bytes / (mib_per_s * 1024 * 1024)
-    return P * seconds * prices.worker_rate(memory_mib)
+    return P * seconds * worker_rate(cfg, memory_mib)

@@ -21,15 +21,10 @@ TWO_LEVEL = "two_level"
 
 @dataclass(frozen=True)
 class InvocationPlan:
-    strategy: str
     P: int
     first_gen: tuple[int, ...]
     # first-gen worker id -> ids it must invoke
     assignment: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-    @property
-    def g(self) -> int:
-        return len(self.first_gen)
 
 
 def build_plan(P: int, strategy: str = DIRECT) -> InvocationPlan:
@@ -39,7 +34,7 @@ def build_plan(P: int, strategy: str = DIRECT) -> InvocationPlan:
     if strategy not in (DIRECT, TWO_LEVEL):
         raise ValueError(f"unknown strategy {strategy}")
     if strategy == DIRECT or P == 1:
-        return InvocationPlan(DIRECT, P, tuple(range(P)))
+        return InvocationPlan(P, tuple(range(P)))
     g = math.isqrt(P)
     if g * g < P:
         g += 1
@@ -51,7 +46,7 @@ def build_plan(P: int, strategy: str = DIRECT) -> InvocationPlan:
         take = base + (1 if i < extra else 0)
         assignment[i] = tuple(rest[pos : pos + take])
         pos += take
-    return InvocationPlan(TWO_LEVEL, P, tuple(range(g)), assignment)
+    return InvocationPlan(P, tuple(range(g)), assignment)
 
 
 @dataclass

@@ -262,12 +262,6 @@ def split_trailer(tail: bytes, file_size: int) -> tuple[int, int]:
     return file_size - 8 - footer_len, footer_len
 
 
-def read_footer(data: bytes) -> FileFooter:
-    """Decode the footer of a complete in-memory LCF file."""
-    footer_off, footer_len = split_trailer(data[-FOOTER_TAIL_WINDOW:], len(data))
-    return decode_footer(data[footer_off : footer_off + footer_len], footer_off)
-
-
 def read_footer_ranged(sim, ctx, bucket: str, key: str):
     """Read a footer through the object store using the tail window.
 
@@ -292,14 +286,3 @@ def read_footer_ranged(sim, ctx, bucket: str, key: str):
         )
         raw = bytes(raw)
     return decode_footer(raw, footer_off), tail, tail_start
-
-
-def read_table(data: bytes) -> list[list]:
-    """Decode a whole file into one column-major table (test/oracle path)."""
-    footer = read_footer(data)
-    columns: list[list] = [[] for _ in footer.schema.names]
-    for rg in footer.row_groups:
-        for column, chunk in zip(columns, rg.chunks):
-            raw = data[chunk.offset : chunk.offset + chunk.compressed_len]
-            column.extend(decode_chunk(chunk, raw, rg.row_count))
-    return columns

@@ -17,7 +17,7 @@ from functools import partial
 from typing import Any, Callable, Generator
 
 from . import errors
-from .billing import BillingLedger, PriceSheet, LIST, READ, WRITE
+from .billing import BillingLedger, LIST, READ, WRITE
 from .clock import Future, SimLoop, Sleep, Task, US_PER_MS, US_PER_S
 from .config import MIB, SimConfig
 
@@ -482,7 +482,7 @@ class FaaSService:
 # 1 Hz or a rate of 0 divides by zero when a host computes or is made; a
 # negative time cannot be slept, so a run fails at its first use; a negative
 # retry budget or decode cost means nothing; a negative payload or key limit
-# fails every invocation or every key
+# fails every invocation or every key; a negative price bills a credit
 AT_LEAST_ONE_CONFIG_KEYS = (
     "concurrency_limit",
     "bucket_read_limit_per_s",
@@ -499,6 +499,10 @@ NON_NEGATIVE_CONFIG_KEYS = (
     "decode_cycles_per_byte",
     "max_payload_bytes",
     "max_key_bytes",
+    "read_req_usd_per_million",
+    "write_req_usd_per_million",
+    "list_req_usd_per_million",
+    "worker_usd_per_gib_second",
 )
 
 
@@ -526,12 +530,11 @@ class CloudSim:
         self.cfg = cfg = cfg or SimConfig()
         check_config(cfg)
         self.loop = SimLoop()
-        self.prices = PriceSheet.from_config(cfg)
         self.nic_shaping = NicShaping(cfg)
         self.first_byte_latency_us = round(cfg.first_byte_latency_ms * US_PER_MS)
         self.invoke_latency_us = round(cfg.invoke_latency_ms * US_PER_MS)
         self._invoke_intervals: dict[Fraction, int] = {}  # rate per s -> us
-        self.ledger = BillingLedger(self.prices)
+        self.ledger = BillingLedger(cfg)
         self.store = ObjectStore(self)
         self.faas = FaaSService(self)
         # numbers queries and exchange runs; the number scopes their keys

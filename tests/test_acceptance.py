@@ -11,11 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from lambada_lab import cli, datagen, econ, engine, exchange, invoke, lcf, scan
+from lambada_lab import cli, datagen, econ, engine, exchange, invoke, scan
 from lambada_lab.billing import READ, WRITE
 from lambada_lab.clock import AllOf
 from lambada_lab.config import SimConfig
 from lambada_lab.substrate import CloudSim, FunctionSpec, ZeroBlob, cpu_throughput
+
+from helpers import read_footer
 
 MIB = 1024 * 1024
 P_CHOICES = (1, 4, 5, 9, 16, 27, 64)
@@ -73,11 +75,11 @@ def test_c02_request_counts_match_closed_forms(P, k):
 
 
 def test_c03_exchange_dollar_figures():
-    prices = fresh_sim().prices
-    row = exchange.exchange_cost(4096, "1l", prices)
+    cfg = fresh_sim().cfg
+    row = exchange.exchange_cost(4096, "1l", cfg)
     assert abs(float(row.request_usd) - 90.597) <= 0.01
     assert abs(float(row.request_usd) - 100) / 100 <= 0.15
-    worker = exchange.exchange_worker_cost(4096, 4 * 1024**4, Fraction(85), prices)
+    worker = exchange.exchange_worker_cost(4096, 4 * 1024**4, Fraction(85), cfg)
     # independent closed form: 4096 workers, 2 GiB each way at 85 MiB/s
     assert worker == 4096 * Fraction(2 * 1024, 85) * Fraction("3.3e-5")
     assert abs(float(worker) - 3.3) / 3.3 <= 0.05
@@ -105,7 +107,7 @@ def sorted_file():
     )
     tables = datagen.generate_tables(spec, 3)
     [(key, data)] = datagen.encode_files(spec, 3)
-    footer = lcf.read_footer(data)
+    footer = read_footer(data)
     assert len(footer.row_groups) == 100
     return spec, tables, key, data, footer
 

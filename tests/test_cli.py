@@ -1,7 +1,9 @@
 import hashlib
 import json
 
-from lambada_lab import cli, datagen, engine, lcf
+from lambada_lab import cli, datagen, engine
+
+from helpers import read_table
 
 
 def run_cli(*argv):
@@ -21,7 +23,7 @@ def test_gen_writes_files_and_manifest(tmp_path):
         key, nbytes, rows = line.split(",")
         data = (out / key).read_bytes()
         assert len(data) == int(nbytes)
-        table = lcf.read_table(data)
+        table = read_table(data)
         assert len(table[0]) == int(rows)
 
 
@@ -43,6 +45,13 @@ def test_bench_q6_reports_ok(tmp_path, capsys):
 def test_bench_q6_exits_nonzero_on_oracle_mismatch(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(engine, "reference_execute", lambda *args: [[0]])
     argv = ["bench", "q6", *SMALL, "-o", str(tmp_path)]
+    assert cli.main(argv) == 1
+    assert "(MISMATCH vs oracle)" in capsys.readouterr().out
+
+
+def test_bench_q1_exits_nonzero_on_oracle_mismatch(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "reference_execute", lambda *args: [[0]])
+    argv = ["bench", "q1", *SMALL, "-o", str(tmp_path)]
     assert cli.main(argv) == 1
     assert "(MISMATCH vs oracle)" in capsys.readouterr().out
 

@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lambada_lab import datagen, lcf
+from lambada_lab import datagen
 from lambada_lab.config import SimConfig
 from lambada_lab.substrate import CloudSim
+
+from helpers import read_footer
 
 
 def small_spec(rows=2000, files=4, **kw):
@@ -54,7 +56,7 @@ def test_global_sort_across_files():
 def test_row_group_stats_reflect_sort():
     spec = small_spec(rows=1000, files=1, rows_per_group=100)
     (key, data), = datagen.encode_files(spec, 5)
-    footer = lcf.read_footer(data)
+    footer = read_footer(data)
     assert len(footer.row_groups) == 10
     idx = datagen.COLUMNS.index("shipdate")
     mins = [rg.chunks[idx].min_value for rg in footer.row_groups]

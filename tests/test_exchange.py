@@ -11,6 +11,8 @@ from lambada_lab.config import SimConfig
 from lambada_lab.clock import US_PER_MS
 from lambada_lab.substrate import CloudSim, HostContext, Nic
 
+from helpers import ledger_csv
+
 
 def fresh_sim(**overrides):
     return CloudSim(SimConfig(**overrides))
@@ -243,7 +245,7 @@ class TestWriteCombining:
             assert first_read[f"xw{t.worker}"] == landed[key]
         # waiting is free: still one GET per inbound file
         variant = "1l-wc" if mode == exchange.WC_OFFSETS_IN_NAME else "1l"
-        row = exchange.exchange_cost(P, variant, sim.prices)
+        row = exchange.exchange_cost(P, variant, sim.cfg)
         assert (sim.ledger.count(READ), sim.ledger.count(WRITE)) == (row.reads, row.writes)
 
     @pytest.mark.parametrize("mode", exchange._WC_MODES)
@@ -294,7 +296,7 @@ class TestRunsOnOneSim:
         sim = fresh_sim()
         cfg = exchange.ExchangeConfig(write_combining=mode)
         variant = "1l-wc" if mode == exchange.WC_OFFSETS_IN_NAME else "1l"
-        row = exchange.exchange_cost(2, variant, sim.prices)
+        row = exchange.exchange_cost(2, variant, sim.cfg)
         for value in (b"x" * 5, b"z" * 90):
             inputs = {0: [(1, value)], 1: []}
             before = ledger_counts(sim)
@@ -322,7 +324,7 @@ class TestCostModel:
     def test_table_of_closed_forms(self):
         sim = fresh_sim()
         P = 4096
-        rows = {v: exchange.exchange_cost(P, v, sim.prices) for v in exchange.VARIANTS}
+        rows = {v: exchange.exchange_cost(P, v, sim.cfg) for v in exchange.VARIANTS}
         assert rows["1l"].reads == rows["1l"].writes == P * P
         assert rows["1l-wc"].writes == P
         assert rows["2l"].reads == 2 * P * 64
@@ -334,21 +336,21 @@ class TestCostModel:
 
     def test_headline_request_bill(self):
         sim = fresh_sim()
-        row = exchange.exchange_cost(4096, "1l", sim.prices)
+        row = exchange.exchange_cost(4096, "1l", sim.cfg)
         assert abs(float(row.request_usd) - 90.597) < 0.01
 
     def test_degenerate_single_worker_bill(self):
         sim = fresh_sim()
         for variant in exchange.VARIANTS:
-            row = exchange.exchange_cost(1, variant, sim.prices)
+            row = exchange.exchange_cost(1, variant, sim.cfg)
             assert row.reads == row.writes == int(variant[0])
-        row = exchange.exchange_cost(1, "1l", sim.prices)
+        row = exchange.exchange_cost(1, "1l", sim.cfg)
         assert row.request_usd == Fraction("5.4e-6")
 
     def test_worker_side_bill(self):
         sim = fresh_sim()
         usd = exchange.exchange_worker_cost(
-            4096, 4 * 1024**4, Fraction(85), sim.prices
+            4096, 4 * 1024**4, Fraction(85), sim.cfg
         )
         assert abs(float(usd) - 3.3) / 3.3 < 0.05
 
@@ -366,7 +368,7 @@ class TestCostModel:
                 else exchange.WC_OFF,
             )
             run(sim, make_inputs(P, 4 * P), cfg)
-            row = exchange.exchange_cost(P, variant, sim.prices)
+            row = exchange.exchange_cost(P, variant, sim.cfg)
             assert sim.ledger.count(READ) == row.reads
             assert sim.ledger.count(WRITE) == row.writes
             assert sim.ledger.count(LIST) == row.lists
@@ -384,7 +386,7 @@ class TestCostModel:
     def test_lists_over_several_buckets_on_a_full_grid(self, P, variant, buckets, lists):
         # each receiver lists every bucket of its senders, s**level apart
         sim = fresh_sim()
-        assert exchange.exchange_cost(P, variant, sim.prices, buckets).lists == lists
+        assert exchange.exchange_cost(P, variant, sim.cfg, buckets).lists == lists
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -398,7 +400,7 @@ class TestCostModel:
         cfg = exchange.ExchangeConfig(levels=levels, write_combining=mode, num_buckets=buckets)
         sim.loop.run_task(exchange.run_synthetic_exchange(sim, P, 10**6, cfg))
         variant = f"{levels}l" + ("-wc" if mode == exchange.WC_OFFSETS_IN_NAME else "")
-        row = exchange.exchange_cost(P, variant, sim.prices, buckets)
+        row = exchange.exchange_cost(P, variant, sim.cfg, buckets)
         ledger = sim.ledger
         assert (ledger.count(READ), ledger.count(WRITE), ledger.count(LIST)) == (
             row.reads,
@@ -518,7 +520,7 @@ class TestExchangeDigest:
                             rows = sorted(tuple(vars(t).values()) for t in tr)
                             key = (mode, P, levels, buckets, sorted(out.items()), rows)
                             digest.update(repr(key + (ran.loop.now,)).encode())
-                            digest.update(ran.ledger.to_csv().encode())
+                            digest.update(ledger_csv(ran.ledger).encode())
                         digest.update(repr(makespan).encode())
         assert digest.hexdigest() == self.EXCHANGE_SHA256
 

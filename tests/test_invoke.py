@@ -10,6 +10,8 @@ from lambada_lab.clock import US_PER_MS, US_PER_S, Sleep
 from lambada_lab.config import SimConfig
 from lambada_lab.substrate import CloudSim, FunctionSpec
 
+from helpers import ledger_csv
+
 
 def run(sim, plan):
     return sim.loop.run_task(invoke.run_plan(sim.driver(), plan))
@@ -23,16 +25,16 @@ class TestBuildPlan:
 
     def test_two_level_4096_is_balanced(self):
         plan = invoke.build_plan(4096, invoke.TWO_LEVEL)
-        assert plan.g == 64
+        assert len(plan.first_gen) == 64
         assert all(len(v) == 63 for v in plan.assignment.values())
 
     def test_single_worker_collapses_to_direct(self):
         plan = invoke.build_plan(1, invoke.TWO_LEVEL)
-        assert plan.strategy == invoke.DIRECT
+        assert plan == invoke.build_plan(1, invoke.DIRECT)
 
     def test_ragged_split_at_five(self):
         plan = invoke.build_plan(5, invoke.TWO_LEVEL)
-        assert plan.g == 3
+        assert len(plan.first_gen) == 3
         assert sorted(len(v) for v in plan.assignment.values()) == [0, 1, 1]
 
     @settings(max_examples=100, deadline=None)
@@ -83,7 +85,7 @@ class TestRunPlan:
         report = run(sim, plan)
         max_list = max(len(v) for v in plan.assignment.values())
         bound = (
-            Fraction(plan.g) / cfg.driver_invoke_rate_per_s
+            Fraction(len(plan.first_gen)) / cfg.driver_invoke_rate_per_s
             + Fraction(cfg.invoke_latency_ms, 1000)
             + Fraction(max_list) / cfg.worker_invoke_rate_per_s
         )
@@ -93,7 +95,7 @@ class TestRunPlan:
         sim = CloudSim(SimConfig())
         report = run(sim, invoke.build_plan(25, invoke.TWO_LEVEL))
         rows = report.phase_breakdown()
-        assert len(rows) == report.plan.g
+        assert len(rows) == len(report.plan.first_gen)
         for _, driver_delay, latency, span in rows:
             assert latency == 100_000  # configured call latency
             assert span >= 0
@@ -167,7 +169,7 @@ class TestConcurrencyLimitedStart:
             [
                 report.to_csv(),
                 repr(report.phase_breakdown()),
-                sim.ledger.to_csv(),
+                ledger_csv(sim.ledger),
                 str(sim.loop.now),
                 str(sim.faas.peak_concurrency),
             ]

@@ -12,6 +12,8 @@ from lambada_lab.config import SimConfig
 from lambada_lab.scan import PredicateSet, execute_scan
 from lambada_lab.substrate import CloudSim
 
+from helpers import read_footer, read_table
+
 
 SCHEMA_XY = lcf.Schema(("x", "y"))
 
@@ -78,11 +80,11 @@ class TestRoundTrip:
             [[4, 5], [0, 95]],
         ]
         data = lcf.write_file(SCHEMA_XY, groups)
-        assert lcf.read_table(data) == [[1, 2, 3, 4, 5], [10, 25, -30, 0, 95]]
+        assert read_table(data) == [[1, 2, 3, 4, 5], [10, 25, -30, 0, 95]]
 
     def test_footer_stats(self):
         data = lcf.write_file(SCHEMA_XY, [[[5, -2, 9], [7, 7, 7]]])
-        footer = lcf.read_footer(data)
+        footer = read_footer(data)
         x, y = footer.row_groups[0].chunks
         assert (x.min_value, x.max_value) == (-2, 9)
         assert (y.min_value, y.max_value) == (7, 7)
@@ -103,7 +105,7 @@ class TestRoundTrip:
         schema = lcf.Schema(("v",))
         groups = [[values] for values in group_values]
         data = lcf.write_file(schema, groups)
-        assert lcf.read_table(data) == [sum(group_values, [])]
+        assert read_table(data) == [sum(group_values, [])]
 
 
 class TestPlainCodec:
@@ -128,18 +130,18 @@ class TestPlainCodec:
 class TestValidation:
     def test_bad_magic(self):
         with pytest.raises(errors.BadMagic):
-            lcf.read_footer(b"not a columnar file")
+            read_footer(b"not a columnar file")
 
     def test_truncated_footer(self):
         data = lcf.write_file(lcf.Schema(("x",)), [[[1, 2]]])
         mangled = data[:20] + data[24:]  # drop 4 bytes inside the footer
         with pytest.raises((errors.CorruptFooter, errors.BadMagic)):
-            lcf.read_footer(mangled)
+            read_footer(mangled)
 
     def test_footer_len_past_file_start(self):
         bad = struct.pack("<I", 100) + lcf.MAGIC
         with pytest.raises(errors.CorruptFooter):
-            lcf.read_footer(bad)
+            read_footer(bad)
 
     def test_stats_min_above_max_rejected(self):
         data = bytearray(lcf.write_file(lcf.Schema(("x",)), [[[1, 2]]]))
@@ -148,11 +150,11 @@ class TestValidation:
         min_off = footer_start + 2 + 2 + (2 + 1 + 1) + 4 + 8 + 25
         struct.pack_into("<q", data, min_off, 99)
         with pytest.raises(errors.CorruptFooter):
-            lcf.read_footer(bytes(data))
+            read_footer(bytes(data))
 
     def test_chunk_length_mismatch(self):
         data = lcf.write_file(lcf.Schema(("x",)), [[[1, 2]]])
-        footer = lcf.read_footer(data)
+        footer = read_footer(data)
         chunk = footer.row_groups[0].chunks[0]
         with pytest.raises(errors.CorruptChunk):
             lcf.decode_chunk(chunk, b"\x00" * 7, 2)
@@ -183,7 +185,7 @@ class TestValidation:
         schema = lcf.Schema(("a",))
         values = [-(2**63), 2**63 - 1, -(2**63)]
         data = lcf.write_file(schema, [[values]])
-        assert lcf.read_table(data) == [values]
+        assert read_table(data) == [values]
 
     @pytest.mark.parametrize(
         "table, column",
@@ -195,7 +197,7 @@ class TestValidation:
 
     def test_bool_is_accepted_as_int64(self):
         data = lcf.write_file(lcf.Schema(("a",)), [[[True, 5, False]]])
-        assert lcf.read_table(data) == [[1, 5, 0]]
+        assert read_table(data) == [[1, 5, 0]]
 
     def test_empty_row_group_rejected(self):
         with pytest.raises(errors.EmptyRowGroup):
@@ -230,9 +232,9 @@ class TestUnknownEncoding:
     @pytest.mark.parametrize("encoding", [1, 255])
     def test_read_table_rejects_it(self, encoding):
         data = file_with_encoding(encoding)
-        assert lcf.read_footer(data).row_groups[0].chunks[0].encoding == encoding
+        assert read_footer(data).row_groups[0].chunks[0].encoding == encoding
         with pytest.raises(errors.CorruptChunk, match=f"unknown encoding id {encoding}"):
-            lcf.read_table(data)
+            read_table(data)
 
     @pytest.mark.parametrize("encoding", [1, 255])
     def test_scan_rejects_it(self, encoding):
@@ -382,8 +384,8 @@ class TestFooterDecoder:
         at = 16 + 2 + 2 + (2 + 1 + 1) + 4 + 8 + 8 + 8
         assert struct.unpack_from("<Q", data, at) == (16,)
         struct.pack_into("<Q", data, at, 2**64 - 1)
-        assert lcf.read_footer(bytes(data)) == lcf.read_footer(golden_single_column_bytes())
-        assert lcf.read_table(bytes(data)) == [[1, 2]]
+        assert read_footer(bytes(data)) == read_footer(golden_single_column_bytes())
+        assert read_table(bytes(data)) == [[1, 2]]
 
     @settings(max_examples=30, deadline=None)
     @given(footers())
@@ -490,7 +492,7 @@ class TestFooterDecoder:
             assert lcf.decode_footer(copy, footer_off) == first
         info = lcf._decode_footer.cache_info()
         assert (info.misses, info.hits) == (1, 3)
-        assert first == lcf.read_footer(data)
+        assert first == read_footer(data)
 
     @pytest.mark.parametrize(
         "first, second",
@@ -528,7 +530,7 @@ class TestRangedFooterRead:
         sim = self._seeded_sim(data)
         footer, tail, tail_start = self._read(sim)
         assert sim.ledger.count("read") == 1
-        assert footer == lcf.read_footer(data)
+        assert footer == read_footer(data)
         # a file smaller than the window comes back whole
         assert (tail, tail_start) == (data, 0)
 
@@ -565,7 +567,7 @@ class TestRangedFooterRead:
         footers = [self._read(self._seeded_sim(data))[0] for data in (first, second)]
         info = lcf._decode_footer.cache_info()
         assert (info.misses, info.hits) == (1, 1)
-        assert footers[0] == footers[1] == lcf.read_footer(first)
+        assert footers[0] == footers[1] == read_footer(first)
 
 
 def file_with_chunk_in_footer():
@@ -573,7 +575,7 @@ def file_with_chunk_in_footer():
     schema = lcf.Schema(("x",))
     data = lcf.write_file(schema, [[[1, 2]], [[3, 4]]])
     footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
-    footer = lcf.read_footer(data)
+    footer = read_footer(data)
     last = footer.row_groups[1]
     bad = last._replace(chunks=(last.chunks[0]._replace(offset=footer_off),))
     raw = lcf.encode_footer(lcf.FileFooter(schema, (footer.row_groups[0], bad)))
@@ -585,11 +587,11 @@ class TestChunkInsideFooter:
     def test_whole_file_read_rejects_it(self):
         data = file_with_chunk_in_footer()
         with pytest.raises(errors.CorruptFooter, match="runs into the footer"):
-            lcf.read_footer(data)
+            read_footer(data)
         # before the check the footer bytes decoded as values:
         # [1, 2, 33777001500311553, 8589934594]
         with pytest.raises(errors.CorruptFooter):
-            lcf.read_table(data)
+            read_table(data)
 
     def test_ranged_read_rejects_it(self):
         sim = CloudSim(SimConfig())
@@ -606,6 +608,6 @@ class TestChunkInsideFooter:
         data = lcf.write_file(schema, [[[1, 2]], [[3, 4]]])
         footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
         raw = data[footer_off : footer_off + footer_len]
-        assert lcf.decode_footer(raw, footer_off) == lcf.read_footer(data)
+        assert lcf.decode_footer(raw, footer_off) == read_footer(data)
         with pytest.raises(errors.CorruptFooter):
             lcf.decode_footer(raw, footer_off - 1)

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambada_lab import errors, lcf, scan
-from lambada_lab.billing import READ, BillingLedger
+from lambada_lab.billing import READ, BillingLedger, request_price
 from lambada_lab.clock import AllOf
 from lambada_lab.config import SimConfig
 from lambada_lab.substrate import CloudSim, HostContext
+
+from helpers import read_footer, read_table
 
 MIB = 1024 * 1024
 
@@ -43,8 +45,8 @@ def record_ranges(sim):
 
 
 def filtered_rows(data, intervals):
-    """The rows of `lcf.read_table(data)` inside every (column index, lo, hi)."""
-    rows = zip(*lcf.read_table(data))
+    """The rows of `read_table(data)` inside every (column index, lo, hi)."""
+    rows = zip(*read_table(data))
     return [r for r in rows if all(lo <= r[c] <= hi for c, lo, hi in intervals)]
 
 
@@ -69,25 +71,25 @@ def seeded_sim(files):
 class TestPruning:
     def test_disjoint_interval_prunes_group(self):
         data, _ = make_file([[[10, 20], [0, 0]], [[25, 30], [0, 0]]])
-        footer = lcf.read_footer(data)
+        footer = read_footer(data)
         preds = scan.PredicateSet((("a", 25, 30),), ("a",))
         assert scan.prune_row_groups(footer, preds) == [1]
 
     def test_empty_predicates_keep_everything(self):
         data, _ = make_file([[[1], [2]], [[3], [4]]])
-        footer = lcf.read_footer(data)
+        footer = read_footer(data)
         preds = scan.PredicateSet((), ("a",))
         assert scan.prune_row_groups(footer, preds) == [0, 1]
 
     def test_unknown_predicate_column(self):
         data, _ = make_file([[[1], [2]]])
-        footer = lcf.read_footer(data)
+        footer = read_footer(data)
         with pytest.raises(errors.UnknownColumn):
             scan.prune_row_groups(footer, scan.PredicateSet((("z", 0, 1),), ("a",)))
 
     def test_boundary_touching_interval_survives(self):
         data, _ = make_file([[[10, 20], [0, 0]]])
-        footer = lcf.read_footer(data)
+        footer = read_footer(data)
         preds = scan.PredicateSet((("a", 20, 99),), ("a",))
         assert scan.prune_row_groups(footer, preds) == [0]
 
@@ -99,7 +101,7 @@ class TestPlanner:
             [[g * 100 + i for i in range(rows)] for _ in names] for g in range(n_groups)
         ]
         data, _ = make_file(groups, names)
-        return lcf.read_footer(data), names
+        return read_footer(data), names
 
     def test_pipelined_groups_read_each_chunk_whole(self):
         footer, names = self._footer(8, 4)
@@ -150,7 +152,7 @@ class TestExecute:
         preds = scan.PredicateSet((), ("a", "b"))
         batches, report = run_scan(sim, ["f.lcf"], preds)
         merged = [sum((b[i] for b in batches), []) for i in range(2)]
-        assert merged == lcf.read_table(data)
+        assert merged == read_table(data)
         assert report.rows == 5
         assert sim.ledger.count(READ) == 1 + 4  # footer + 2 groups x 2 columns
 
@@ -167,7 +169,7 @@ class TestExecute:
     def test_proven_filter_only_column_is_not_fetched(self):
         groups = [[[3, 4], [1, 2]], [[5, 3], [7, 8]]]
         data = clear_of_tail(make_file(groups)[0])
-        footer = lcf.read_footer(data)
+        footer = read_footer(data)
         sim = seeded_sim({"f.lcf": data})
         preds = scan.PredicateSet((("a", 0, 10),), ("b",))
         batches, report = run_scan(sim, ["f.lcf"], preds)
@@ -196,7 +198,7 @@ class TestExecute:
         rows = 16 * 1024
         names = ("c0", "c1", "c2", "f")
         data, _ = make_file([[list(range(rows)) for _ in names]], names)
-        footer = lcf.read_footer(data)
+        footer = read_footer(data)
         assert all(c.compressed_len == 2 * 64 * 1024 for c in footer.row_groups[0].chunks)
         sim = seeded_sim({"f.lcf": data})
         preds = scan.PredicateSet((("f", 0, rows),), ("c0", "c1", "c2"))
@@ -234,7 +236,7 @@ class TestExecute:
         sim = seeded_sim({"f.lcf": data, "g.lcf": data})
         preds = scan.PredicateSet((), ("a", "b"))
         hosts = [
-            HostContext(sim, f"h{i}", ledger=BillingLedger(sim.prices, parent=sim.ledger))
+            HostContext(sim, f"h{i}", ledger=BillingLedger(sim.cfg, parent=sim.ledger))
             for i in range(2)
         ]
 
@@ -274,7 +276,7 @@ class TestExecute:
             run_scan(sim, ["big.lcf"], preds)
         data_requests = sim.ledger.count(READ) - 1
         assert data_requests == 1024
-        price = sim.prices.request_price("read")
+        price = request_price(sim.cfg, READ)
         assert data_requests * price == Fraction("4.096e-4")
 
     def test_requests_monotone_in_chunk_size(self):
@@ -320,7 +322,7 @@ class TestExecute:
         schema = lcf.Schema(("a", "b"))
         data = lcf.write_file(schema, [[list(range(8)), list(range(10, 18))]])
         footer_off, footer_len = lcf.split_trailer(data[-8:], len(data))
-        footer = lcf.read_footer(data)
+        footer = read_footer(data)
         rg = footer.row_groups[0]
         short = rg.chunks[1]._replace(compressed_len=56)
         raw = lcf.encode_footer(
@@ -422,7 +424,7 @@ class TestRunSelection:
             data.draw(st.lists(st.sampled_from(self.NAMES), min_size=1, max_size=3, unique=True))
         )
         raw, _ = make_file([table], self.NAMES)
-        rg = lcf.read_footer(raw).row_groups[0]
+        rg = read_footer(raw).row_groups[0]
         chunks = {
             name: (meta, raw[meta.offset : meta.offset + meta.compressed_len])
             for name, meta in zip(self.NAMES, rg.chunks)
@@ -461,7 +463,7 @@ class TestTailReads:
         big = 8 * 1024
         groups = [[list(range(big)), [v % 5 for v in range(big)]], [[7, 3, 9], [1, 2, 3]]]
         data, _ = make_file(groups)
-        footer = lcf.read_footer(data)
+        footer = read_footer(data)
         tail_start = len(data) - lcf.FOOTER_TAIL_WINDOW
         assert all(c.offset < tail_start for c in footer.row_groups[0].chunks)
         assert all(c.offset >= tail_start for c in footer.row_groups[1].chunks)
@@ -482,7 +484,7 @@ class TestTailReads:
         # a's 64 KiB chunk lies before the tail, b's runs across its start
         rows = 8 * 1024
         data, _ = make_file([[list(range(rows)), list(range(rows))]])
-        a, b = lcf.read_footer(data).row_groups[0].chunks
+        a, b = read_footer(data).row_groups[0].chunks
         tail_start = len(data) - lcf.FOOTER_TAIL_WINDOW
         assert a.offset + a.compressed_len <= tail_start
         assert b.offset < tail_start < b.offset + b.compressed_len
@@ -522,7 +524,7 @@ class TestTailReads:
             groups.append([a, [v % 7 for v in a]])
             start += n
         data, _ = make_file(groups)
-        footer = lcf.read_footer(data)
+        footer = read_footer(data)
         preds = scan.PredicateSet((("a", lo, lo + width),), ("a", "b"))
         tail_start = max(0, len(data) - lcf.FOOTER_TAIL_WINDOW)
         surviving = scan.prune_row_groups(footer, preds)
@@ -581,7 +583,7 @@ class TestGetSchedule:
             ],
             ("a", "f"),
         )[0]
-        footer = lcf.read_footer(tail)
+        footer = read_footer(tail)
         assert footer.row_groups[4].chunks[0].offset >= len(tail) - lcf.FOOTER_TAIL_WINDOW
         assert footer.row_groups[3].chunks[1].offset < len(tail) - lcf.FOOTER_TAIL_WINDOW
         wides = [f"wide{i}.lcf" for i in range(5)]

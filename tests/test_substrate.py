@@ -20,6 +20,8 @@ from lambada_lab.substrate import (
     cpu_throughput,
 )
 
+from helpers import ledger_csv
+
 
 def run(sim, gen):
     return sim.loop.run_task(gen)
@@ -59,7 +61,7 @@ class TestObjectStore:
         expected = 20_000 + math.ceil(MIB / (90 * MIB / US_PER_S))
         assert sim.loop.now == expected
         assert abs(sim.loop.now / 1000 - 31.1) < 0.2
-        assert sim.ledger.count(WRITE, "b") == 1
+        assert sim.ledger.request_counts[(WRITE, "b")] == 1
 
     def test_key_too_long_rejected(self):
         sim = make_sim()
@@ -92,7 +94,7 @@ class TestObjectStore:
         data = run(sim, main())
         assert data == payload[:1024]
         assert sim.loop.now == 20_000 + math.ceil(1024 / (90 * MIB / US_PER_S))
-        assert sim.ledger.count(READ, "b") == 1
+        assert sim.ledger.request_counts[(READ, "b")] == 1
 
     def test_suffix_range(self):
         sim = make_sim()
@@ -116,7 +118,7 @@ class TestObjectStore:
 
         with pytest.raises(errors.NotFound):
             run(sim, main())
-        assert sim.ledger.count(READ, "b") == 1
+        assert sim.ledger.request_counts[(READ, "b")] == 1
         assert sim.loop.now == ctx.first_byte_latency_us == 20_000
 
     def test_range_past_the_end_billed_and_raises(self):
@@ -129,7 +131,7 @@ class TestObjectStore:
 
         with pytest.raises(errors.InvalidRange):
             run(sim, main())
-        assert sim.ledger.count(READ, "b") == 1
+        assert sim.ledger.request_counts[(READ, "b")] == 1
         assert sim.loop.now == ctx.first_byte_latency_us == 20_000
 
     def test_sequential_vs_concurrent_gib_download(self):
@@ -337,6 +339,10 @@ class TestConfigChecks:
             ("decode_cycles_per_byte", Fraction(-1, 3)),
             ("max_payload_bytes", -1),
             ("max_key_bytes", -1),
+            ("read_req_usd_per_million", Fraction(-1)),
+            ("write_req_usd_per_million", Fraction(-1, 10)),
+            ("list_req_usd_per_million", Fraction(-5)),
+            ("worker_usd_per_gib_second", Fraction(-1)),
         ],
     )
     def test_config_that_can_only_hang_or_fail_late_is_rejected(self, field, value):
@@ -737,8 +743,8 @@ class TestLedger:
         assert sim.ledger.total_usd == expected
 
     def test_child_ledger_charges_reach_its_parent_only(self):
-        parent = BillingLedger(make_sim().prices)
-        child = BillingLedger(parent.prices, parent=parent)
+        parent = BillingLedger(make_sim().cfg)
+        child = BillingLedger(parent.cfg, parent=parent)
         child.charge_request(READ, "b")
         child.charge_worker(1024, 500)
         child.record_throttle()
@@ -761,7 +767,7 @@ class TestLedger:
             yield from sim.store.put_object(ctx, "b", "k", b"x")
 
         run(sim, main())
-        csv = sim.ledger.to_csv()
+        csv = ledger_csv(sim.ledger)
         lines = csv.strip().splitlines()
         assert lines[0] == "category,bucket,count,unit_price,usd"
         assert lines[1].startswith("write,b,1,")
