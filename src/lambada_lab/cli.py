@@ -15,10 +15,9 @@ from pathlib import Path
 from . import datagen, econ, engine, exchange, invoke
 from .billing import format_usd
 from .clock import AllOf, US_PER_S
-from .config import SimConfig, load_config
+from .config import MIB, SimConfig, load_config
 from .substrate import CloudSim, FunctionSpec, ZeroBlob
 
-MIB = 1024 * 1024
 DESK_SCALE_BYTES = 8 * MIB  # keeps bench runs interactive on one core
 MEMORY_SWEEP = (512, 1024, 1792, 2048, 3008)
 EXCHANGE_REFERENCE_S = {250: 22, 500: 15, 1000: 13}

@@ -43,11 +43,9 @@ class SimConfig:
     throttle_retry_delay_ms: int = 100
     throttle_max_retries: int = 50
 
-    # Bandwidth shaping per worker NIC.
+    # Network: the rate of each direction of a host's NIC, which every
+    # transfer runs at, and a request's time to its first byte.
     steady_mib_per_s: Fraction = Fraction(90)
-    burst_cap_mib_per_s: Fraction = Fraction(300)
-    burst_credit_mib: Fraction = Fraction((300 - 90) * 3)
-    per_connection_mib_per_s: Fraction = Fraction(90)
     first_byte_latency_ms: Fraction = Fraction(20)
 
     # Invocation model.
@@ -67,6 +65,9 @@ class SimConfig:
     vcpu_hz: int = 1_000_000_000
     decode_cycles_per_byte: Fraction = Fraction(0)
 
+    def __post_init__(self):
+        check_config(self)
+
     def with_region(self, region: str) -> "SimConfig":
         try:
             latency_ms, driver_rate, worker_rate = REGION_PROFILES[region]
@@ -81,6 +82,52 @@ class SimConfig:
 
     def updated(self, **kwargs) -> "SimConfig":
         return replace(self, **kwargs)
+
+
+# A limit below 1 admits nothing, so a run waits forever; a clock below
+# 1 Hz or a rate of 0 divides by zero when a host computes or is made, or a
+# NIC carries a byte; a worker price of 0 is divided by in `econ`; a
+# negative time cannot be slept, so a run fails at its first use; a negative
+# retry budget or decode cost means nothing; a negative payload or key limit
+# fails every invocation or every key; a negative price bills a credit
+AT_LEAST_ONE_CONFIG_KEYS = (
+    "concurrency_limit",
+    "bucket_read_limit_per_s",
+    "bucket_write_limit_per_s",
+    "vcpu_hz",
+)
+POSITIVE_CONFIG_KEYS = (
+    "driver_invoke_rate_per_s",
+    "worker_invoke_rate_per_s",
+    "steady_mib_per_s",
+    "worker_usd_per_gib_second",
+)
+NON_NEGATIVE_CONFIG_KEYS = (
+    "first_byte_latency_ms",
+    "invoke_latency_ms",
+    "queue_poll_latency_ms",
+    "throttle_retry_delay_ms",
+    "throttle_max_retries",
+    "decode_cycles_per_byte",
+    "max_payload_bytes",
+    "max_key_bytes",
+    "read_req_usd_per_million",
+    "write_req_usd_per_million",
+    "list_req_usd_per_million",
+)
+
+
+def check_config(cfg: SimConfig) -> None:
+    """Raise ConfigError for a config that could only hang or fail mid-run."""
+    for key in AT_LEAST_ONE_CONFIG_KEYS:
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    for key in POSITIVE_CONFIG_KEYS:
+        if getattr(cfg, key) <= 0:
+            raise ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
+    for key in NON_NEGATIVE_CONFIG_KEYS:
+        if getattr(cfg, key) < 0:
+            raise ConfigError(f"{key} must not be negative, got {getattr(cfg, key)}")
 
 
 # each key's parser, from its field's annotation

@@ -13,11 +13,10 @@ from fractions import Fraction
 
 from . import errors
 from .billing import worker_rate
-from .config import SimConfig
+from .config import MIB, SimConfig
 from .substrate import FunctionSpec
 
 TIB = 1024**4
-MIB = 1024**2
 
 VM = "vm"
 FAAS = "faas"

@@ -20,7 +20,7 @@ from math import gcd
 
 from .billing import LIST, READ, WRITE, request_price, worker_rate
 from .clock import AllOf, Future
-from .config import SimConfig
+from .config import MIB, SimConfig
 from .substrate import HostContext, ZeroBlob
 
 WC_OFF = "off"
@@ -400,5 +400,5 @@ def exchange_worker_cost(
 ) -> Fraction:
     """Worker-time bill: each round reads and writes the full input once."""
     per_worker_bytes = Fraction(total_bytes, P)
-    seconds = 2 * levels * per_worker_bytes / (mib_per_s * 1024 * 1024)
+    seconds = 2 * levels * per_worker_bytes / (mib_per_s * MIB)
     return P * seconds * worker_rate(cfg, memory_mib)

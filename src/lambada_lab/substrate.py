@@ -78,65 +78,23 @@ class ZeroBlob:
         return f"ZeroBlob({self.size})"
 
 
-class NicShaping:
-    """Traffic-shaping constants of one configuration, shared by all its NICs.
-
-    Rates are exact bytes per microsecond.  A transfer drains at
-    ``burst_rate`` while the host has burst credit and at ``steady`` once it
-    is spent; the credit refills at ``steady``.  When the credit never
-    drains (no credit, or a burst-time rate at most the refill rate, as in
-    the default configuration), every transfer runs at one rate, kept in
-    ``constant`` as (numerator, denominator).
-    """
-
-    __slots__ = ("steady", "burst_rate", "drain", "credit_cap", "constant")
-
-    def __init__(self, cfg: SimConfig):
-        to_bytes_per_us = Fraction(MIB, US_PER_S)
-        self.steady = cfg.steady_mib_per_s * to_bytes_per_us
-        per_conn = cfg.per_connection_mib_per_s * to_bytes_per_us
-        self.burst_rate = min(per_conn, cfg.burst_cap_mib_per_s * to_bytes_per_us)
-        self.drain = self.burst_rate - self.steady  # credit spent per us of burst
-        self.credit_cap = Fraction(cfg.burst_credit_mib * MIB)
-        if min(self.steady, self.burst_rate) <= 0 or self.credit_cap < 0:
-            raise errors.ConfigError("NIC rates must be positive and burst credit non-negative")
-        if self.credit_cap == 0 or self.drain <= 0:
-            rate = self.burst_rate if self.credit_cap else min(per_conn, self.steady)
-            self.constant = (rate.numerator, rate.denominator)
-        else:
-            self.constant = None
-
-
 class Nic:
-    """Traffic shaper for one direction of one host.
+    """One direction of one host's network link.
 
-    Concurrent transfers are serialized FIFO; each data phase drains at
-    ``min(per_connection, burst-while-credit, ...)``.  With the default
-    configuration (per-connection rate equal to the steady rate) the
-    aggregate ingress never exceeds the steady limit, which is what the
-    latency model assumes for sustained scans.
+    Transfers are serialized FIFO: each starts when it is ready and the
+    previous one has finished, and runs at `rate`, the config's
+    `steady_mib_per_s` as exact bytes per microsecond, held as (numerator,
+    denominator).  Its end is rounded up to a whole microsecond.
     """
 
-    def __init__(self, shaping: NicShaping):
-        self.shaping = shaping
-        self.tokens: Fraction = shaping.credit_cap
+    def __init__(self, rate: tuple[int, int]):
+        self.rate = rate
         self.free_at: int = 0
 
     def reserve(self, nbytes: int, ready_us: int) -> int:
         """Reserve the pipe for `nbytes`; returns the virtual finish time."""
-        start = max(ready_us, self.free_at)
-        sh = self.shaping
-        if sh.constant is not None:
-            num, den = sh.constant
-            finish = start - (-nbytes * den // num)
-        else:
-            # the credit refills from the previous finish up to this start;
-            # the transfer bursts while it lasts and sends the rest at steady
-            tokens = min(sh.credit_cap, self.tokens + sh.steady * (start - self.free_at))
-            burst_us = min(tokens / sh.drain, Fraction(nbytes) / sh.burst_rate)
-            self.tokens = tokens - sh.drain * burst_us
-            rest_us = (nbytes - sh.burst_rate * burst_us) / sh.steady
-            finish = start + math.ceil(burst_us + rest_us)
+        num, den = self.rate
+        finish = max(ready_us, self.free_at) - (-nbytes * den // num)
         self.free_at = finish
         return finish
 
@@ -144,7 +102,9 @@ class Nic:
 class HostContext:
     """A network endpoint in the simulation: the driver or one worker.  It
     bills `ledger`, the simulation's unless it is given another, and issues
-    invocations at `invoke_rate_per_s`, the driver rate unless given."""
+    invocations at `invoke_rate_per_s`, the driver rate unless given.  It
+    sends through its `egress` NIC and receives through its `ingress` NIC;
+    each carries one transfer at a time at the sim's NIC rate."""
 
     def __init__(
         self,
@@ -159,8 +119,8 @@ class HostContext:
         self.name = name
         self.spec = spec
         self.ledger = ledger if ledger is not None else sim.ledger
-        self.ingress = Nic(sim.nic_shaping)
-        self.egress = Nic(sim.nic_shaping)
+        self.ingress = Nic(sim.nic_rate)
+        self.egress = Nic(sim.nic_rate)
         # the sim's figure, held per host so that one host can be made slower
         self.first_byte_latency_us = sim.first_byte_latency_us
         self.invoke_interval_us = sim.invoke_interval_us(
@@ -478,59 +438,19 @@ class FaaSService:
                 self._start(self._pending.popleft())
 
 
-# A limit below 1 admits nothing, so a run waits forever; a clock below
-# 1 Hz or a rate of 0 divides by zero when a host computes or is made; a
-# negative time cannot be slept, so a run fails at its first use; a negative
-# retry budget or decode cost means nothing; a negative payload or key limit
-# fails every invocation or every key; a negative price bills a credit
-AT_LEAST_ONE_CONFIG_KEYS = (
-    "concurrency_limit",
-    "bucket_read_limit_per_s",
-    "bucket_write_limit_per_s",
-    "vcpu_hz",
-)
-POSITIVE_CONFIG_KEYS = ("driver_invoke_rate_per_s", "worker_invoke_rate_per_s")
-NON_NEGATIVE_CONFIG_KEYS = (
-    "first_byte_latency_ms",
-    "invoke_latency_ms",
-    "queue_poll_latency_ms",
-    "throttle_retry_delay_ms",
-    "throttle_max_retries",
-    "decode_cycles_per_byte",
-    "max_payload_bytes",
-    "max_key_bytes",
-    "read_req_usd_per_million",
-    "write_req_usd_per_million",
-    "list_req_usd_per_million",
-    "worker_usd_per_gib_second",
-)
-
-
-def check_config(cfg: SimConfig) -> None:
-    """Raise ConfigError for a config that could only hang or fail mid-run."""
-    for key in AT_LEAST_ONE_CONFIG_KEYS:
-        if getattr(cfg, key) < 1:
-            raise errors.ConfigError(f"{key} must be at least 1, got {getattr(cfg, key)}")
-    for key in POSITIVE_CONFIG_KEYS:
-        if getattr(cfg, key) <= 0:
-            raise errors.ConfigError(f"{key} must be positive, got {getattr(cfg, key)}")
-    for key in NON_NEGATIVE_CONFIG_KEYS:
-        if getattr(cfg, key) < 0:
-            raise errors.ConfigError(f"{key} must not be negative, got {getattr(cfg, key)}")
-
-
 class CloudSim:
     """Bundle of loop, config, billing and services for one simulation run.
 
-    It derives the config's whole-microsecond latencies once, and each
-    invocation rate's pacing interval at its first use, for every host.
+    It derives the config's whole-microsecond latencies and its exact NIC
+    rate once, and each invocation rate's pacing interval at its first use,
+    for every host.
     """
 
     def __init__(self, cfg: SimConfig | None = None):
         self.cfg = cfg = cfg or SimConfig()
-        check_config(cfg)
         self.loop = SimLoop()
-        self.nic_shaping = NicShaping(cfg)
+        rate = cfg.steady_mib_per_s * Fraction(MIB, US_PER_S)  # bytes per us
+        self.nic_rate = (rate.numerator, rate.denominator)
         self.first_byte_latency_us = round(cfg.first_byte_latency_ms * US_PER_MS)
         self.invoke_latency_us = round(cfg.invoke_latency_ms * US_PER_MS)
         self._invoke_intervals: dict[Fraction, int] = {}  # rate per s -> us

@@ -1,7 +1,9 @@
 import hashlib
 import json
 
-from lambada_lab import cli, datagen, engine
+import pytest
+
+from lambada_lab import cli, datagen, engine, errors
 
 from helpers import read_table
 
@@ -123,6 +125,15 @@ def test_bench_econ_prices_faas_from_config(tmp_path):
     for old, new in zip(default, doubled):
         ratio = float(new[3]) / float(old[3])
         assert abs(ratio - (2 if old[0] == "faas" else 1)) < 1e-5
+
+
+@pytest.mark.parametrize("key", ["worker_usd_per_gib_second", "steady_mib_per_s"])
+def test_bench_econ_rejects_a_zero_price_or_rate(tmp_path, key):
+    # econ builds no CloudSim, so the config is checked where it is loaded
+    conf = tmp_path / "lab.conf"
+    conf.write_text(f"{key} = 0\n")
+    with pytest.raises(errors.ConfigError, match=key):
+        cli.main(["--config", str(conf), "bench", "econ", "-o", str(tmp_path)])
 
 
 def test_config_flag_feeds_simulation(tmp_path, capsys):

@@ -1,17 +1,21 @@
 import ast
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from lambada_lab import errors
+from lambada_lab.clock import US_PER_S
 from lambada_lab.config import (
     ENV_CONFIG_VAR,
+    MIB,
     REGION_PROFILES,
     SimConfig,
     load_config,
     parse_config_text,
 )
+from lambada_lab.substrate import CloudSim, ZeroBlob
 
 
 def test_defaults():
@@ -47,6 +51,15 @@ def test_parse_region_key():
 def test_parse_rejects_unknown_key():
     with pytest.raises(errors.ConfigError):
         parse_config_text("no_such_knob = 3\n")
+
+
+@pytest.mark.parametrize(
+    "key", ["burst_cap_mib_per_s", "burst_credit_mib", "per_connection_mib_per_s"]
+)
+def test_deleted_nic_keys_are_unknown(key):
+    # a NIC has one rate, steady_mib_per_s; no knob shapes it further
+    with pytest.raises(errors.ConfigError, match=f"unknown config key '{key}'"):
+        parse_config_text(f"{key} = 300\n")
 
 
 def test_parse_rejects_bad_line():
@@ -90,6 +103,26 @@ def test_explicit_path_beats_env(tmp_path, monkeypatch):
     b.write_text("queue_poll_latency_ms = 2\n")
     monkeypatch.setenv(ENV_CONFIG_VAR, str(a))
     assert load_config(str(b)).queue_poll_latency_ms == 2
+
+
+README_MD = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_example_config() -> str:
+    """The text of README.md's one ``ini`` block, its example config file."""
+    (block,) = README_MD.read_text(encoding="utf-8").split("```ini\n")[1:]
+    return block.split("```", 1)[0]
+
+
+def test_readme_example_config_sets_the_nic_rate():
+    cfg = parse_config_text(readme_example_config())
+    assert cfg.steady_mib_per_s != SimConfig().steady_mib_per_s
+    sim = CloudSim(cfg)
+    nbytes = 64 * MIB
+    sim.store.seed_object("b", "obj", ZeroBlob(nbytes))
+    sim.loop.run_task(sim.store.get_object(sim.driver(), "b", "obj"))
+    rate = cfg.steady_mib_per_s * Fraction(MIB, US_PER_S)  # bytes per us
+    assert sim.loop.now == sim.first_byte_latency_us + math.ceil(nbytes / rate)
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lambada_lab"

@@ -261,7 +261,7 @@ class TestWriteCombining:
         def ctx_factory(p):
             ctx = HostContext(sim, f"xw{p}")
             if p == broken:
-                ctx.egress = BrokenNic(sim.nic_shaping)
+                ctx.egress = BrokenNic(sim.nic_rate)
             return ctx
 
         sim = fresh_sim()

@@ -15,7 +15,6 @@ from lambada_lab.substrate import (
     HostContext,
     MessageQueue,
     Nic,
-    NicShaping,
     ZeroBlob,
     cpu_throughput,
 )
@@ -254,7 +253,7 @@ class TestBandwidth:
         assert 1024 / elapsed >= 0.95 * 90
 
     def test_ingress_soundness_bound(self):
-        # total ingress bytes / elapsed <= steady + credit/elapsed
+        # total ingress bytes / elapsed <= steady: concurrent GETs share one NIC
         sim = make_sim()
         ctx = sim.driver()
         sim.store.seed_object("b", "obj", ZeroBlob(256 * MIB))
@@ -271,53 +270,17 @@ class TestBandwidth:
         elapsed_s = run(sim, main()) / US_PER_S
         rate = 4 * 32 * 2 / elapsed_s  # MiB read by the four connections
         cfg = sim.cfg
-        assert rate <= float(cfg.steady_mib_per_s) + float(cfg.burst_credit_mib) / elapsed_s
+        assert rate <= float(cfg.steady_mib_per_s)
 
-
-class NaiveNic:
-    """The shaper as a step loop over exact fractions: the oracle for `Nic`."""
-
-    def __init__(self, cfg: SimConfig):
-        to_bytes_per_us = Fraction(MIB, US_PER_S)
-        self.steady = cfg.steady_mib_per_s * to_bytes_per_us
-        self.burst = cfg.burst_cap_mib_per_s * to_bytes_per_us
-        self.per_conn = cfg.per_connection_mib_per_s * to_bytes_per_us
-        self.credit_cap = cfg.burst_credit_mib * MIB
-        self.tokens: Fraction = Fraction(self.credit_cap)
-        self.free_at: int = 0
-        self._last_update: int = 0
-
-    def reserve(self, nbytes: int, ready_us: int) -> int:
-        """Reserve the pipe for `nbytes`; returns the virtual finish time."""
-        start = max(ready_us, self.free_at)
-        self.tokens = min(
-            Fraction(self.credit_cap),
-            self.tokens + self.steady * (start - self._last_update),
-        )
-        remaining = Fraction(nbytes)
-        t = Fraction(start)
-        while remaining > 0:
-            cap = self.burst if self.tokens > 0 else self.steady
-            rate = min(self.per_conn, cap)
-            if rate > self.steady and self.tokens > 0:
-                seg = min(self.tokens / (rate - self.steady), remaining / rate)
-            else:
-                seg = remaining / rate
-            sent = rate * seg
-            self.tokens = min(
-                Fraction(self.credit_cap), self.tokens + self.steady * seg - sent
-            )
-            remaining -= sent
-            t += seg
-        finish = math.ceil(t)
-        self.free_at = finish
-        self._last_update = finish
-        return finish
-
-
-mib_per_s = st.builds(
-    Fraction, st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=7)
-)
+    @pytest.mark.parametrize("steady", [60, 120])
+    def test_one_gib_get_runs_at_the_steady_rate(self, steady):
+        # below and above the 90 MiB/s default, 1 GiB moves at exactly `steady`
+        sim = make_sim(steady_mib_per_s=Fraction(steady))
+        ctx = sim.driver()
+        nbytes, rate = 1024 * MIB, Fraction(steady * MIB, US_PER_S)  # bytes per us
+        sim.store.seed_object("b", "obj", ZeroBlob(nbytes))
+        run(sim, sim.store.get_object(ctx, "b", "obj"))
+        assert sim.loop.now == 20_000 + math.ceil(nbytes / rate)
 
 
 class TestConfigChecks:
@@ -343,11 +306,14 @@ class TestConfigChecks:
             ("write_req_usd_per_million", Fraction(-1, 10)),
             ("list_req_usd_per_million", Fraction(-5)),
             ("worker_usd_per_gib_second", Fraction(-1)),
+            ("steady_mib_per_s", Fraction(0)),
+            ("worker_usd_per_gib_second", Fraction(0)),
         ],
     )
     def test_config_that_can_only_hang_or_fail_late_is_rejected(self, field, value):
+        # the config is checked where it is made, before any sim reads it
         with pytest.raises(errors.ConfigError, match=field):
-            make_sim(**{field: value})
+            SimConfig(**{field: value})
 
     def test_smallest_accepted_values_run(self):
         sim = make_sim(
@@ -382,26 +348,11 @@ class TestConfigChecks:
         assert run(sim, main()) == (b"abc", 2 + 1_200_000)
 
 
-class TestNicShaper:
-    def test_default_config_runs_at_one_constant_rate(self):
-        assert NicShaping(SimConfig()).constant is not None
-        assert NicShaping(SimConfig(per_connection_mib_per_s=Fraction(300))).constant is None
-
-    @pytest.mark.parametrize(
-        "field,value",
-        [("per_connection_mib_per_s", 0), ("steady_mib_per_s", 0), ("burst_credit_mib", -1)],
-    )
-    def test_nonsense_rates_rejected(self, field, value):
-        with pytest.raises(errors.ConfigError):
-            CloudSim(SimConfig().updated(**{field: Fraction(value)}))
-
+class TestNic:
     @settings(max_examples=200, deadline=None)
     @given(
-        steady=mib_per_s,
-        burst=mib_per_s,
-        per_conn=mib_per_s,
-        credit=st.builds(
-            Fraction, st.integers(min_value=0, max_value=900), st.integers(min_value=1, max_value=3)
+        steady=st.builds(
+            Fraction, st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=7)
         ),
         transfers=st.lists(
             st.tuples(
@@ -415,20 +366,16 @@ class TestNicShaper:
             max_size=25,
         ),
     )
-    def test_reserve_equals_step_loop(self, steady, burst, per_conn, credit, transfers):
-        # per_conn above steady exercises the burst branch
-        cfg = SimConfig(
-            steady_mib_per_s=steady,
-            burst_cap_mib_per_s=burst,
-            per_connection_mib_per_s=per_conn,
-            burst_credit_mib=credit,
-        )
-        oracle, nic = NaiveNic(cfg), Nic(NicShaping(cfg))
+    def test_reserve_equals_exact_oracle(self, steady, transfers):
+        # serialized transfers at one rate: each starts at max(ready, free_at)
+        # and ends nbytes / rate later, rounded up to a whole microsecond
+        rate = steady * Fraction(MIB, US_PER_S)  # bytes per us
+        nic, free_at = Nic(CloudSim(SimConfig(steady_mib_per_s=steady)).nic_rate), 0
         for nbytes, gap in transfers:
-            ready = max(0, oracle.free_at + gap)  # negative gaps queue behind free_at
-            assert nic.reserve(nbytes, ready) == oracle.reserve(nbytes, ready)
-            assert nic.free_at == oracle.free_at
-            assert nic.tokens == oracle.tokens
+            ready = max(0, free_at + gap)  # negative gaps queue behind free_at
+            free_at = math.ceil(max(ready, free_at) + nbytes / rate)
+            assert nic.reserve(nbytes, ready) == free_at
+            assert nic.free_at == free_at
 
 
 def naive_list(objects: dict, prefix: str) -> list[str]:
