@@ -16,6 +16,7 @@ from . import datagen, econ, engine, exchange, invoke
 from .billing import format_usd
 from .clock import AllOf, US_PER_S
 from .config import MIB, SimConfig, load_config
+from .errors import ConfigError
 from .substrate import CloudSim, FunctionSpec, ZeroBlob
 
 DESK_SCALE_BYTES = 8 * MIB  # keeps bench runs interactive on one core
@@ -262,15 +263,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = load_config(args.config)
-    if args.command == "gen":
-        notes = cmd_gen(cfg, args)
-    else:
-        try:
+    try:
+        cfg = load_config(args.config)
+        if args.command == "gen":
+            notes = cmd_gen(cfg, args)
+        else:
             notes = BENCHES[args.experiment](cfg, args, Path(args.out))
-        except OracleMismatch as err:
-            print(err)
-            return 1
+    except OracleMismatch as err:
+        print(err)
+        return 1
+    except ConfigError as err:
+        # a config that fails its checks is a usage error, like a bad flag
+        print(f"lambada-lab: error: {err}", file=sys.stderr)
+        return 2
     for note in notes:
         print(note)
     return 0

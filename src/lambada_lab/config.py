@@ -145,18 +145,22 @@ def parse_config_text(text: str, base: SimConfig | None = None) -> SimConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key == "region":
-            region = value
-        elif key in _PARSERS:
-            parse = _PARSERS[key]
-            try:
-                overrides[key] = parse(value)
-            except (ValueError, ZeroDivisionError):
-                raise ConfigError(
-                    f"line {lineno}: {key} = {value!r} is not a valid {parse.__name__}"
-                ) from None
-        else:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        # check_config judges each key alone, so each value is checked on its line
+        try:
+            if key == "region":
+                SimConfig().with_region(value)
+                region = value
+            elif key in _PARSERS:
+                overrides[key] = _PARSERS[key](value)
+                SimConfig(**{key: overrides[key]})
+            else:
+                raise ConfigError(f"unknown config key {key!r}")
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(
+                f"line {lineno}: {key} = {value!r} is not a valid {_PARSERS[key].__name__}"
+            ) from None
+        except ConfigError as err:
+            raise ConfigError(f"line {lineno}: {err}") from None
     if region is not None:
         cfg = cfg.with_region(region)
     return cfg.updated(**overrides)

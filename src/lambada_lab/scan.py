@@ -2,19 +2,18 @@
 
 A worker spends its connections in priority order. Each file's footer is
 fetched up front, outside the `MAX_CONNECTIONS` chunk connections. Then a
-window of min(`ROW_GROUP_PREFETCH`, surviving groups) row groups is in
-flight, and each group's column chunks are fetched in parallel; the next
-group is launched once the current group's parts arrive, before it is
-decoded. A chunk over `CHUNK_SIZE_BYTES` is split into ranged GETs only
-when the window's chunks leave connections idle, since splitting inflates
-the request bill.
+window of `ROW_GROUP_PREFETCH` row groups is in flight, and each group's
+column chunks are fetched in parallel; the next group is launched once the
+current group's chunks arrive, before it is decoded. Each needed chunk is
+one GET of the whole chunk: a host's NIC carries one transfer at a time at
+one rate, so ranged pieces of a chunk would end no sooner and cost more
+requests.
 
-Each surviving row group is planned once, as one list of reads. A column
-that only the filter reads is dropped from a group whose stats prove
-every value inside its intervals: the rows need no check and the chunk is
-not bought. It still counts toward the split budget. A read that lies
-wholly inside the 64 KiB tail, fetched with the footer, is cut from those
-bytes instead of bought again.
+One walk over a row group's stats prunes it, or lists the intervals its
+rows must be checked against. A column that only the filter reads is not
+bought for a group whose stats prove every value inside its intervals. A
+chunk that lies wholly inside the 64 KiB tail, fetched with the footer, is
+cut from those bytes instead of bought again.
 
 A group's rows are chosen before its columns are decoded: when the first
 row check keeps one proven run of rows, every other column is decoded over
@@ -30,7 +29,6 @@ from dataclasses import dataclass
 from . import lcf
 from .clock import Future
 
-CHUNK_SIZE_BYTES = 1024 * 1024  # the size of a split chunk's ranged GETs
 MAX_CONNECTIONS = 4  # a scan's concurrent chunk GETs
 ROW_GROUP_PREFETCH = 2  # row groups in flight
 
@@ -50,26 +48,29 @@ class PredicateSet:
                 raise ValueError(f"empty interval on {name}: [{lo}, {hi}]")
 
 
+def _bounds(footer: lcf.FileFooter, predicates: PredicateSet) -> list[tuple]:
+    """(column position, name, lo, hi) of each predicate interval."""
+    return [(footer.schema.index_of(name), name, lo, hi) for name, lo, hi in predicates.intervals]
+
+
+def _row_checks(rg: lcf.RowGroupMeta, bounds: list[tuple], prune: bool = True) -> list | None:
+    """The (column, lo, hi) intervals a row group's rows must be checked
+    against, the ones its stats do not prove; None when `prune` is set and
+    its stats miss an interval."""
+    checks = []
+    for ci, name, lo, hi in bounds:
+        chunk = rg.chunks[ci]
+        if prune and (chunk.max_value < lo or chunk.min_value > hi):
+            return None
+        if chunk.min_value < lo or chunk.max_value > hi:
+            checks.append((name, lo, hi))
+    return checks
+
+
 def prune_row_groups(footer: lcf.FileFooter, predicates: PredicateSet) -> list[int]:
     """Indices of row groups whose stats intersect every predicate interval."""
-    col_idx = {name: footer.schema.index_of(name) for name, _, _ in predicates.intervals}
-    surviving = []
-    for g, rg in enumerate(footer.row_groups):
-        keep = True
-        for name, lo, hi in predicates.intervals:
-            chunk = rg.chunks[col_idx[name]]
-            if chunk.max_value < lo or chunk.min_value > hi:
-                keep = False
-                break
-        if keep:
-            surviving.append(g)
-    return surviving
-
-
-def _stats_prove(schema: lcf.Schema, rg: lcf.RowGroupMeta, name: str, lo, hi) -> bool:
-    """True when every value of a row group's column provably lies in [lo, hi]."""
-    chunk = rg.chunks[schema.index_of(name)]
-    return lo <= chunk.min_value and chunk.max_value <= hi
+    bounds = _bounds(footer, predicates)
+    return [g for g, rg in enumerate(footer.row_groups) if _row_checks(rg, bounds) is not None]
 
 
 def _run_of(values: list, lo: int, hi: int) -> tuple[int, int] | None:
@@ -127,35 +128,6 @@ def _filter_group(rg: lcf.RowGroupMeta, chunks: dict, projection, checks) -> lis
     return [list(map(column(c).__getitem__, selected)) for c in projection]
 
 
-def plan_downloads(
-    footer: lcf.FileFooter, surviving: list[int], columns: tuple[str, ...]
-) -> list[list[tuple[str, int, int]]]:
-    """One list of (column, start, length) reads per surviving group.
-
-    A chunk is one read unless the in-flight groups' chunks leave some of
-    the `MAX_CONNECTIONS` idle; then a chunk over `CHUNK_SIZE_BYTES` is
-    split into ranged reads of that size, in offset order.
-    """
-    if not surviving:
-        raise ValueError("plan needs at least one surviving group")
-    col_idx = [footer.schema.index_of(c) for c in columns]
-    window = min(ROW_GROUP_PREFETCH, len(surviving))
-    split = len(columns) * window < MAX_CONNECTIONS
-    plan = []
-    for g in surviving:
-        reads = []
-        for name, ci in zip(columns, col_idx):
-            chunk = footer.row_groups[g].chunks[ci]
-            if split and chunk.compressed_len > CHUNK_SIZE_BYTES:
-                for off in range(0, chunk.compressed_len, CHUNK_SIZE_BYTES):
-                    length = min(CHUNK_SIZE_BYTES, chunk.compressed_len - off)
-                    reads.append((name, chunk.offset + off, length))
-            else:
-                reads.append((name, chunk.offset, chunk.compressed_len))
-        plan.append(reads)
-    return plan
-
-
 @dataclass
 class ScanReport:
     """One scan's figures.  `bytes` counts the bytes the chunk GETs bought:
@@ -211,10 +183,11 @@ def execute_scan(
         dict.fromkeys(name for name, _, _ in predicates.intervals if name not in projection)
     )
 
-    def fetch(path, start, length):
+    def fetch(path, chunk):
         yield from gate.acquire()
         try:
-            data = yield from sim.store.get_object(ctx, bucket, path, (start, start + length))
+            end = chunk.offset + chunk.compressed_len
+            data = yield from sim.store.get_object(ctx, bucket, path, (chunk.offset, end))
             return bytes(data)
         finally:
             gate.release()
@@ -223,29 +196,27 @@ def execute_scan(
     for path in paths:
         # popped, so the finished task does not keep the tail alive
         footer, tail, tail_start = yield footer_tasks.pop(path)
-        surviving = prune_row_groups(footer, predicates) if prune else list(
-            range(len(footer.row_groups))
-        )
-        report.groups_pruned += len(footer.row_groups) - len(surviving)
-        report.groups_read += len(surviving)
-        if not surviving:
-            continue
-        # the split budget counts every filter-only column; a group then
-        # drops the reads of those whose intervals its stats prove, and a
-        # read wholly inside the tail is cut from it instead of bought
-        plan = plan_downloads(footer, surviving, projection + filter_only)
-        todo = deque()  # (row group, row checks, [(column, start, length, tail bytes or None)])
-        for g, planned in zip(surviving, plan):
-            rg = footer.row_groups[g]
-            checks = [iv for iv in predicates.intervals if not _stats_prove(footer.schema, rg, *iv)]
+        bounds = _bounds(footer, predicates)
+        columns = [(name, footer.schema.index_of(name)) for name in projection + filter_only]
+        todo = deque()  # (row group, row checks, [(column, chunk, tail bytes or None)])
+        for rg in footer.row_groups:
+            checks = _row_checks(rg, bounds, prune)
+            if checks is None:
+                continue
+            # a proven filter-only column is not read, and a chunk wholly
+            # inside the tail is cut from it instead of bought
             needed = set(projection).union(name for name, _, _ in checks)
             reads = []
-            for name, start, length in planned:
+            for name, ci in columns:
                 if name in needed:
-                    at = start - tail_start
-                    reads.append((name, start, length, tail[at : at + length] if at >= 0 else None))
+                    chunk = rg.chunks[ci]
+                    at = chunk.offset - tail_start
+                    data = tail[at : at + chunk.compressed_len] if at >= 0 else None
+                    reads.append((name, chunk, data))
             todo.append((rg, checks, reads))
         del tail
+        report.groups_read += len(todo)
+        report.groups_pruned += len(footer.row_groups) - len(todo)
 
         in_flight = deque()
 
@@ -254,26 +225,21 @@ def execute_scan(
             while todo and len(in_flight) < ROW_GROUP_PREFETCH:
                 rg, checks, reads = todo.popleft()
                 parts = [
-                    (name, sim.loop.spawn(fetch(path, start, length)) if data is None else data)
-                    for name, start, length, data in reads
+                    (name, chunk, sim.loop.spawn(fetch(path, chunk)) if data is None else data)
+                    for name, chunk, data in reads
                 ]
                 in_flight.append((rg, checks, parts))
 
         launch()
         while in_flight:
             rg, checks, parts = in_flight.popleft()
-            # splits of one chunk arrive in offset order
-            col_bytes: dict[str, list[bytes]] = {}
-            for name, part in parts:
+            chunks = {}
+            for name, chunk, part in parts:
                 if not isinstance(part, bytes):
                     part = yield part
                     report.bytes += len(part)
-                col_bytes.setdefault(name, []).append(part)
+                chunks[name] = (chunk, part)
             launch()
-            chunks = {
-                name: (rg.chunks[footer.schema.index_of(name)], b"".join(pieces))
-                for name, pieces in col_bytes.items()
-            }
             batch = _filter_group(rg, chunks, projection, checks)
             cycles = sim.cfg.decode_cycles_per_byte * sum(len(raw) for _, raw in chunks.values())
             if cycles:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lambada_lab import cli, datagen, engine, errors
+from lambada_lab import cli, datagen, engine
 
 from helpers import read_table
 
@@ -127,13 +127,56 @@ def test_bench_econ_prices_faas_from_config(tmp_path):
         assert abs(ratio - (2 if old[0] == "faas" else 1)) < 1e-5
 
 
+def config_error(capsys, argv):
+    """The one line `cli.main(argv)` prints for a ConfigError, after it returns 2."""
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    [line] = err.splitlines()
+    return line
+
+
 @pytest.mark.parametrize("key", ["worker_usd_per_gib_second", "steady_mib_per_s"])
-def test_bench_econ_rejects_a_zero_price_or_rate(tmp_path, key):
+def test_bench_econ_rejects_a_zero_price_or_rate(tmp_path, capsys, key):
     # econ builds no CloudSim, so the config is checked where it is loaded
     conf = tmp_path / "lab.conf"
     conf.write_text(f"{key} = 0\n")
-    with pytest.raises(errors.ConfigError, match=key):
-        cli.main(["--config", str(conf), "bench", "econ", "-o", str(tmp_path)])
+    line = config_error(capsys, ["--config", str(conf), "bench", "econ", "-o", str(tmp_path)])
+    assert line == f"lambada-lab: error: line 1: {key} must be positive, got 0"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            "steady_mib_per_s = 0", "line 3: steady_mib_per_s must be positive, got 0", id="rate"
+        ),
+        pytest.param(
+            "concurrency_limit = 0",
+            "line 3: concurrency_limit must be at least 1, got 0",
+            id="limit",
+        ),
+        pytest.param("region = moon", "line 3: unknown region 'moon'", id="region"),
+        pytest.param(
+            "vcpu_hz = fast", "line 3: vcpu_hz = 'fast' is not a valid int", id="unparsed"
+        ),
+        pytest.param(
+            "burst_credit_mib = 5", "line 3: unknown config key 'burst_credit_mib'", id="unknown"
+        ),
+    ],
+)
+def test_config_error_names_its_line_and_exits_2(tmp_path, capsys, text, message):
+    conf = tmp_path / "lab.conf"
+    conf.write_text(f"# tuning\nqueue_poll_latency_ms = 5\n{text}\n")
+    argv = ["--config", str(conf), "bench", "q6", *SMALL, "-o", str(tmp_path / "out")]
+    assert config_error(capsys, argv).startswith(f"lambada-lab: error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_decode_cycles_exits_2(tmp_path, capsys):
+    argv = ["bench", "q1", *SMALL, "--decode-cycles", "-1", "-o", str(tmp_path / "out")]
+    line = config_error(capsys, argv)
+    assert line == "lambada-lab: error: decode_cycles_per_byte must not be negative, got -1"
 
 
 def test_config_flag_feeds_simulation(tmp_path, capsys):

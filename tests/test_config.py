@@ -75,6 +75,9 @@ def test_parse_rejects_bad_line():
         ("concurrency_limit = 2.5", "concurrency_limit"),
         ("vcpu_hz =", "vcpu_hz"),
         ("steady_mib_per_s = 1/0", "steady_mib_per_s"),
+        # values that parse but fail check_config
+        ("steady_mib_per_s = 0", "steady_mib_per_s"),
+        ("throttle_max_retries = -1", "throttle_max_retries"),
     ],
 )
 def test_parse_rejects_bad_value_naming_line_and_key(line, key):

@@ -480,8 +480,7 @@ class TestRequestCount:
         filter-only columns whose intervals the group's stats leave open),
         less the chunks that lie inside a file's last FOOTER_TAIL_WINDOW
         bytes, worked out from the footers alone: one tail GET reads each
-        footer and those chunks, and q1's seven columns fill every
-        connection, so no chunk is split."""
+        footer and those chunks."""
         spec = datagen.GenSpec(
             scale_bytes=datagen.ROW_BYTES * 12000, files=4, rows_per_group=100
         )

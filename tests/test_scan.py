@@ -1,5 +1,4 @@
 import hashlib
-import struct
 from fractions import Fraction
 from unittest import mock
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambada_lab import errors, lcf, scan
-from lambada_lab.billing import READ, BillingLedger, request_price
+from lambada_lab.billing import READ, BillingLedger
 from lambada_lab.clock import AllOf
 from lambada_lab.config import SimConfig
 from lambada_lab.substrate import CloudSim, HostContext
@@ -42,6 +41,21 @@ def record_ranges(sim):
 
     sim.store.get_object = recording
     return ranges
+
+
+def record_gets(sim):
+    """(virtual start, virtual end, key, range) of each GET, in completion order."""
+    gets = []
+    get_object = sim.store.get_object
+
+    def recording(ctx, bucket, key, byte_range=None):
+        start = sim.loop.now
+        data = yield from get_object(ctx, bucket, key, byte_range)
+        gets.append((start, sim.loop.now, key, byte_range))
+        return data
+
+    sim.store.get_object = recording
+    return gets
 
 
 def filtered_rows(data, intervals):
@@ -95,53 +109,32 @@ class TestPruning:
 
 
 class TestPlanner:
-    def _footer(self, n_groups, n_cols, rows=4):
+    """Each surviving group reads every chunk it needs whole, one GET each,
+    in group order and, within a group, in projection order."""
+
+    def _scan(self, n_groups, n_cols, rows=4):
         names = tuple(f"c{i}" for i in range(n_cols))
         groups = [
             [[g * 100 + i for i in range(rows)] for _ in names] for g in range(n_groups)
         ]
-        data, _ = make_file(groups, names)
-        return read_footer(data), names
+        data = clear_of_tail(make_file(groups, names)[0])
+        sim = seeded_sim({"f.lcf": data})
+        ranges = record_ranges(sim)
+        batches, _ = run_scan(sim, ["f.lcf"], scan.PredicateSet((), names))
+        assert rows_of(batches) == filtered_rows(data, [])
+        assert ranges[0] == (-lcf.FOOTER_TAIL_WINDOW, None)
+        return read_footer(data), ranges[1:]
 
     def test_pipelined_groups_read_each_chunk_whole(self):
-        footer, names = self._footer(8, 4)
-        plan = scan.plan_downloads(footer, list(range(8)), names)
-        assert len(plan) == 8
-        for rg, reads in zip(footer.row_groups, plan):
-            assert reads == [(n, c.offset, c.compressed_len) for n, c in zip(names, rg.chunks)]
+        footer, ranges = self._scan(8, 4)
+        assert ranges == [
+            (c.offset, c.offset + c.compressed_len) for rg in footer.row_groups for c in rg.chunks
+        ]
 
     def test_single_group_reads_one_range_per_column(self):
-        footer, names = self._footer(1, 4)
-        plan = scan.plan_downloads(footer, [0], names)
+        footer, ranges = self._scan(1, 4)
         chunks = footer.row_groups[0].chunks
-        assert plan == [[(n, c.offset, c.compressed_len) for n, c in zip(names, chunks)]]
-
-    def test_idle_connections_trigger_chunk_splitting(self):
-        chunk_len = MIB
-        footer = lcf.FileFooter(
-            lcf.Schema(("x",)),
-            (
-                lcf.RowGroupMeta(
-                    chunk_len // 8,
-                    (
-                        lcf.ColumnChunkMeta(0, chunk_len, lcf.ENC_PLAIN, 0, 0),
-                    ),
-                ),
-            ),
-        )
-        with mock.patch.object(scan, "CHUNK_SIZE_BYTES", 256 * 1024):
-            [reads] = scan.plan_downloads(footer, [0], ("x",))
-        assert len(reads) == 4
-        assert [start for _, start, _ in reads] == [0, 256 * 1024, 512 * 1024, 768 * 1024]
-        assert {length for _, _, length in reads} == {256 * 1024}
-
-    def test_saturated_levels_suppress_splitting(self):
-        footer, names = self._footer(8, 4)
-        with mock.patch.object(scan, "CHUNK_SIZE_BYTES", 64 * 1024):
-            plan = scan.plan_downloads(footer, list(range(8)), names)
-        assert sum(map(len, plan)) == 32
-        for rg, reads in zip(footer.row_groups, plan):
-            assert [start for _, start, _ in reads] == [c.offset for c in rg.chunks]
+        assert ranges == [(c.offset, c.offset + c.compressed_len) for c in chunks]
 
 
 class TestExecute:
@@ -191,10 +184,9 @@ class TestExecute:
         assert batches == [[[20]], [[40, 50, 60]]]
         assert sim.ledger.count(READ) == 1 + 2 + 1
 
-    def test_proven_filter_column_still_counts_toward_split_budget(self):
-        # three 128 KiB projected chunks plus a proven filter-only column fill
-        # the four connections, so no chunk is split even though only three
-        # columns are fetched
+    def test_proven_filter_column_is_not_bought_beside_three_projected_chunks(self):
+        # three 128 KiB projected chunks and a proven filter-only column: the
+        # footer and one GET per projected chunk
         rows = 16 * 1024
         names = ("c0", "c1", "c2", "f")
         data, _ = make_file([[list(range(rows)) for _ in names]], names)
@@ -202,8 +194,7 @@ class TestExecute:
         assert all(c.compressed_len == 2 * 64 * 1024 for c in footer.row_groups[0].chunks)
         sim = seeded_sim({"f.lcf": data})
         preds = scan.PredicateSet((("f", 0, rows),), ("c0", "c1", "c2"))
-        with mock.patch.object(scan, "CHUNK_SIZE_BYTES", 64 * 1024):
-            batches, _ = run_scan(sim, ["f.lcf"], preds)
+        batches, _ = run_scan(sim, ["f.lcf"], preds)
         assert batches == [[list(range(rows))] * 3]
         assert sim.ledger.count(READ) == 1 + 3
 
@@ -231,6 +222,15 @@ class TestExecute:
         assert sim.ledger.count(READ) == 1
         assert report.groups_pruned == 1
 
+    def test_unknown_projection_column_fails_even_when_every_group_is_pruned(self):
+        # a plan's columns are checked against the schema, not only where
+        # a group survives its stats
+        data, _ = make_file([[[10, 20], [0, 0]]])
+        sim = seeded_sim({"f.lcf": data})
+        preds = scan.PredicateSet((("a", 500, 600),), ("z",))
+        with pytest.raises(errors.UnknownColumn):
+            run_scan(sim, ["f.lcf"], preds)
+
     def test_concurrent_scans_bill_only_their_own_requests(self):
         data = clear_of_tail(make_file([[[1, 2], [3, 4]]])[0])
         sim = seeded_sim({"f.lcf": data, "g.lcf": data})
@@ -252,46 +252,6 @@ class TestExecute:
         counts = [host.ledger.count(READ) for host in hosts]
         assert counts == [3, 3]
         assert sum(counts) == sim.ledger.count(READ)
-
-    def test_thousand_chunk_request_cost(self):
-        # 64 MiB single plain chunk of zeros scanned at the 64 KiB floor:
-        # 1024 data requests at $0.4/M is $4.096e-4 on the nose.
-        chunk_len = 64 * MIB
-        footer = lcf.FileFooter(
-            lcf.Schema(("x",)),
-            (
-                lcf.RowGroupMeta(
-                    chunk_len // 8,
-                    (
-                        lcf.ColumnChunkMeta(0, chunk_len, lcf.ENC_PLAIN, 0, 0),
-                    ),
-                ),
-            ),
-        )
-        raw_footer = lcf.encode_footer(footer)
-        data = bytes(chunk_len) + raw_footer + struct.pack("<I", len(raw_footer)) + lcf.MAGIC
-        sim = seeded_sim({"big.lcf": data})
-        preds = scan.PredicateSet((), ("x",))
-        with mock.patch.object(scan, "CHUNK_SIZE_BYTES", 64 * 1024):
-            run_scan(sim, ["big.lcf"], preds)
-        data_requests = sim.ledger.count(READ) - 1
-        assert data_requests == 1024
-        price = request_price(sim.cfg, READ)
-        assert data_requests * price == Fraction("4.096e-4")
-
-    def test_requests_monotone_in_chunk_size(self):
-        chunk_len = MIB
-        values = list(range(chunk_len // 8))
-        data = lcf.write_file(lcf.Schema(("x",)), [[values]])
-        counts = []
-        for size in (64 * 1024, 128 * 1024, 256 * 1024):
-            sim = seeded_sim({"f.lcf": data})
-            preds = scan.PredicateSet((), ("x",))
-            with mock.patch.object(scan, "CHUNK_SIZE_BYTES", size):
-                run_scan(sim, ["f.lcf"], preds)
-            counts.append(sim.ledger.count(READ))
-        assert counts == sorted(counts, reverse=True)
-        assert counts[0] > counts[-1]
 
     def test_duration_monotone_in_connections(self):
         groups = [[[g] * 4096 for _ in range(4)] for g in range(4)]
@@ -513,11 +473,8 @@ class TestTailReads:
         sizes=st.lists(st.integers(min_value=1, max_value=12_000), min_size=1, max_size=4),
         lo=st.integers(min_value=0, max_value=30_000),
         width=st.integers(min_value=0, max_value=30_000),
-        chunk_size=st.sampled_from([64 * 1024, MIB]),
     )
-    def test_requests_are_footer_plus_items_starting_before_the_tail(
-        self, sizes, lo, width, chunk_size
-    ):
+    def test_requests_are_footer_plus_items_starting_before_the_tail(self, sizes, lo, width):
         groups, start = [], 0
         for n in sizes:
             a = list(range(start, start + n))
@@ -529,35 +486,106 @@ class TestTailReads:
         tail_start = max(0, len(data) - lcf.FOOTER_TAIL_WINDOW)
         surviving = scan.prune_row_groups(footer, preds)
         sim = seeded_sim({"f.lcf": data})
-        with mock.patch.object(scan, "CHUNK_SIZE_BYTES", chunk_size):
-            plan = scan.plan_downloads(footer, surviving, ("a", "b")) if surviving else []
-            batches, report = run_scan(sim, ["f.lcf"], preds)
-        bought = [length for reads in plan for _, start, length in reads if start < tail_start]
+        batches, report = run_scan(sim, ["f.lcf"], preds)
+        bought = [
+            c.compressed_len
+            for g in surviving
+            for c in footer.row_groups[g].chunks
+            if c.offset < tail_start
+        ]
         assert sim.ledger.count(READ) == 1 + len(bought)
         assert report.bytes == sum(bought)
         assert rows_of(batches) == filtered_rows(data, [(0, lo, lo + width)])
 
 
-class TestGetSchedule:
-    """The virtual-time schedule of every GET of three scans at the default
-    chunk size, connection count and row-group prefetch."""
+def footer_closed_form(data, predicates):
+    """The chunk GETs a scan of `data` buys, from its footer alone: for each
+    group whose stats meet every interval, the projected columns and the
+    columns with an interval the stats leave open, less the chunks inside
+    the footer's tail; each as (offset, offset + compressed_len)."""
+    footer = read_footer(data)
+    tail_start = len(data) - lcf.FOOTER_TAIL_WINDOW
+    position = {name: i for i, name in enumerate(footer.schema.names)}
+    ranges = []
+    for rg in footer.row_groups:
+        stats = [(rg.chunks[position[n]], n, lo, hi) for n, lo, hi in predicates.intervals]
+        if any(c.max_value < lo or c.min_value > hi for c, _, lo, hi in stats):
+            continue
+        needed = set(predicates.projection)
+        needed.update(n for c, n, lo, hi in stats if not lo <= c.min_value <= c.max_value <= hi)
+        for name in needed:
+            c = rg.chunks[position[name]]
+            if c.offset < tail_start:
+                ranges.append((c.offset, c.offset + c.compressed_len))
+    return ranges
 
-    CONNECTIONS = 4  # a scan's connections for chunk GETs
+
+class TestOneGetPerChunk:
+    """Every scan buys one tail GET per file and one GET of each needed
+    chunk outside the tail, whole, whatever the chunk's size."""
+
+    NAMES = ("a", "b", "c")
 
     @staticmethod
-    def record_gets(sim):
-        """(virtual start, virtual end, key, range) of each GET, in completion order."""
-        gets = []
-        get_object = sim.store.get_object
+    def interval(data, name, top):
+        lo = data.draw(st.integers(0, top))
+        return name, lo, lo + data.draw(st.integers(0, top))
 
-        def recording(ctx, bucket, key, byte_range=None):
-            start = sim.loop.now
-            data = yield from get_object(ctx, bucket, key, byte_range)
-            gets.append((start, sim.loop.now, key, byte_range))
-            return data
+    def assert_gets_match_footers(self, files, preds):
+        sim = seeded_sim(files)
+        gets = record_gets(sim)
+        batches, report = run_scan(sim, list(files), preds)
+        footer_range = (-lcf.FOOTER_TAIL_WINDOW, None)
+        assert sorted(key for _, _, key, r in gets if r == footer_range) == sorted(files)
+        for key, data in files.items():
+            got = sorted(r for _, _, k, r in gets if k == key and r != footer_range)
+            assert got == sorted(footer_closed_form(data, preds))
+        names = read_footer(next(iter(files.values()))).schema.names
+        intervals = [(names.index(n), lo, hi) for n, lo, hi in preds.intervals]
+        rows = [
+            tuple(r[names.index(c)] for c in preds.projection)
+            for data in files.values()
+            for r in filtered_rows(data, intervals)
+        ]
+        assert rows_of(batches) == rows
+        return report
 
-        sim.store.get_object = recording
-        return gets
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_gets_equal_the_footer_closed_form(self, data):
+        files = {}
+        for f in range(data.draw(st.integers(1, 3))):
+            groups = []
+            for _ in range(data.draw(st.integers(1, 4))):
+                n = data.draw(st.integers(1, 6000))
+                base = data.draw(st.integers(0, 1000))
+                groups.append([[base + i * (k + 1) % (n + 7) for i in range(n)] for k in range(3)])
+            files[f"f{f}.lcf"] = make_file(groups, self.NAMES)[0]
+        intervals = [
+            self.interval(data, data.draw(st.sampled_from(self.NAMES)), 7000)
+            for _ in range(data.draw(st.integers(0, 3)))
+        ]
+        projection = data.draw(
+            st.lists(st.sampled_from(self.NAMES), min_size=1, max_size=3, unique=True)
+        )
+        preds = scan.PredicateSet(tuple(intervals), tuple(projection))
+        self.assert_gets_match_footers(files, preds)
+
+        # a one-column file whose single chunk is over 1 MiB
+        rows = data.draw(st.integers(MIB // 8 + 1, MIB // 8 + 8192))
+        start = data.draw(st.integers(0, 1000))
+        big = lcf.write_file(lcf.Schema(("x",)), [[list(range(start, start + rows))]])
+        intervals = (self.interval(data, "x", start + rows),) if data.draw(st.booleans()) else ()
+        preds = scan.PredicateSet(intervals, ("x",))
+        report = self.assert_gets_match_footers({"big.lcf": big}, preds)
+        assert report.bytes in (0, 8 * rows)
+
+
+class TestGetSchedule:
+    """The virtual-time schedule of every GET of three scans at the default
+    connection count and row-group prefetch: one GET per needed chunk."""
+
+    CONNECTIONS = 4  # a scan's connections for chunk GETs
 
     def test_get_schedule_is_pinned(self):
         names = ("c0", "c1", "c2", "c3")
@@ -566,7 +594,7 @@ class TestGetSchedule:
         # connection would start late and hold one against the chunk GETs
         groups = [[[g * 4096 + i for i in range(2048)] for _ in names] for g in range(4)]
         wide = clear_of_tail(make_file(groups, names)[0])
-        # (b) one group whose single 1.2 MB chunk is split into ranged GETs
+        # (b) one group whose single 1.2 MB chunk is one GET
         big = lcf.write_file(lcf.Schema(("x",)), [[list(range(150_000))]])
         # (c) f is filter-only: proven in group 0, pruned in group 1, open in
         # groups 2 to 4; group 4 lies inside the footer's tail. Groups 0 and
@@ -598,7 +626,7 @@ class TestGetSchedule:
         for paths, data, _, _ in scans:
             for path in paths:
                 sim.store.seed_object("data", path, data)
-        gets = self.record_gets(sim)
+        gets = record_gets(sim)
         durations = []
         for paths, data, preds, intervals in scans:
             batches, report = run_scan(sim, paths, preds)
@@ -609,13 +637,10 @@ class TestGetSchedule:
         footer_range = (-lcf.FOOTER_TAIL_WINDOW, None)
         chunk_gets = [g for g in gets if g[3] != footer_range]
         assert sorted(g[2] for g in gets if g[3] == footer_range) == ["big.lcf", "tail.lcf"] + wides
-        # 16 whole chunks a copy, the 1 MiB piece and its rest, a's group-0
-        # chunk and both chunks of groups 2 and 3
-        assert len(chunk_gets) == 5 * 16 + 2 + 5
-        assert sorted(g[3] for g in chunk_gets if g[2] == "big.lcf") == [
-            (0, MIB),
-            (MIB, 8 * 150_000),
-        ]
+        # 16 whole chunks a copy, the 1.2 MB chunk, a's group-0 chunk and
+        # both chunks of groups 2 and 3
+        assert len(chunk_gets) == 5 * 16 + 1 + 5
+        assert [g[3] for g in chunk_gets if g[2] == "big.lcf"] == [(0, 8 * 150_000)]
         # an interval is [start, end): at one instant, ends count before starts
         edges = sorted(
             [(end, -1) for _, end, _, _ in chunk_gets] + [(s, 1) for s, _, _, _ in chunk_gets]
@@ -626,4 +651,4 @@ class TestGetSchedule:
             peak = max(peak, open_gets)
         assert peak == self.CONNECTIONS
         digest = hashlib.sha256(repr((gets, durations)).encode()).hexdigest()
-        assert digest == "c288e55344f1db40f261704a1e39987124ae2943f514e0cbd6be0b8a7a401498"
+        assert digest == "b7faa154794e08c6d471c7b1586f08c7e2f5cbbcc5a3d834a858ee0304108b8d"
